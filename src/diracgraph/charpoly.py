@@ -27,6 +27,10 @@ from .graph import DEFAULT_EDGE_CAP, Edge, MetricGraph, Subgraph
 # cancellation dust and dropped.
 COEFF_CLEANUP = 1e-13
 
+# The secular function is summed over at most this many points at a time,
+# which bounds its (points x terms) phase matrix on long scan grids.
+EVAL_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class MultiPoly:
@@ -138,7 +142,8 @@ def char_poly(a: GEndomorphism, cap: int = DEFAULT_EDGE_CAP) -> MultiPoly:
     n = a.n_edges
     if n > cap:
         raise EnumerationCapExceeded(
-            f"determinant expansion over {n} edges exceeds the cap of {cap}"
+            f"determinant expansion over {n} edges capped at {cap}; "
+            "raise the cap explicitly if you accept the exponential cost"
         )
     mat = a.matrix
     memo: dict[int, dict[int, complex]] = {}
@@ -366,9 +371,7 @@ class CharFunction:
 
     def eval(self, lam):
         """Value at a complex point or an array of points."""
-        lam = np.asarray(lam, dtype=complex)
-        phases = np.exp(1j * np.multiply.outer(lam, self._mask_lengths))
-        return phases @ self._coeffs
+        return self._sum(lam, self._coeffs)
 
     def eval_deriv(self, lam):
         """Derivative in ``lambda``; each monomial picks up ``i`` times its length."""
@@ -376,9 +379,19 @@ class CharFunction:
 
     def eval_dk(self, lam, k: int):
         """k-th derivative in ``lambda``."""
+        return self._sum(lam, (1j * self._mask_lengths) ** k * self._coeffs)
+
+    def _sum(self, lam, weights):
+        """``sum_t weights_t exp(i lam L_t)``, in blocks of ``EVAL_BLOCK`` points."""
         lam = np.asarray(lam, dtype=complex)
-        phases = np.exp(1j * np.multiply.outer(lam, self._mask_lengths))
-        return phases @ ((1j * self._mask_lengths) ** k * self._coeffs)
+        if lam.size <= EVAL_BLOCK:
+            return np.exp(1j * np.multiply.outer(lam, self._mask_lengths)) @ weights
+        flat = lam.ravel()
+        blocks = [
+            self._sum(flat[s : s + EVAL_BLOCK], weights)
+            for s in range(0, flat.size, EVAL_BLOCK)
+        ]
+        return np.concatenate(blocks).reshape(lam.shape)
 
     def __call__(self, lam):
         return self.eval(lam)

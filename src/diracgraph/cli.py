@@ -39,7 +39,7 @@ from .charpoly import (
     univariate_to_string,
 )
 from .errors import DiracGraphError, InputFormatError
-from .graph import validate as validate_graph
+from .graph import DEFAULT_EDGE_CAP, validate as validate_graph
 from .jsonio import (
     decomposition_to_json,
     endomorphism_to_json,
@@ -53,6 +53,7 @@ from .jsonio import (
     topology_to_json,
 )
 from .spectrum import (
+    UNITARY_TOL,
     Window,
     spectrum_complex,
     spectrum_exact_commensurable,
@@ -194,7 +195,7 @@ def cmd_spectrum(args) -> int:
             mode = "contour"
         elif commensurable is not None:
             mode = "exact"
-        elif is_unitary(a, 1e-8):
+        elif is_unitary(a, UNITARY_TOL):
             mode = "scan"
         else:
             raise DiracGraphError(
@@ -212,7 +213,7 @@ def cmd_spectrum(args) -> int:
             a, mult, delta, window, residual_tol=args.tol
         )
     elif mode == "scan":
-        if not is_unitary(a, 1e-8):
+        if not is_unitary(a, UNITARY_TOL):
             _warn(
                 "edge map is not unitary; the real-line scan would miss complex "
                 "eigenvalues, use --contour with --rect"
@@ -233,12 +234,12 @@ def cmd_spectrum(args) -> int:
 def cmd_charpoly(args) -> int:
     g = _load_valid_graph(args.graph)
     if args.adjacency:
-        poly = charpoly_via_collections(g)
+        poly = charpoly_via_collections(g, args.cap)
     else:
         if not args.bc:
             raise DiracGraphError("charpoly needs --bc FILE or --adjacency")
         bc = load_boundary(args.bc, g)
-        poly = char_poly(_resolve_endomorphism(bc, g))
+        poly = char_poly(_resolve_endomorphism(bc, g), args.cap)
 
     if args.multivariate:
         payload = multipoly_to_json(poly)
@@ -384,14 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="residual / subspace tolerance (default 1e-10)")
     common.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="json", help="output format (default json)")
-    common.add_argument("--threads", type=int, default=0,
-                        help="solver thread budget; 0 means library default. "
-                             "Solvers are vectorized, the flag is advisory.")
-    common.add_argument("--cap", type=int, default=24,
-                        help="edge count cap for exponential enumerations")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized helpers; core commands are "
-                             "deterministic and ignore it")
+    # only the commands that run an exponential enumeration take --cap
+    cap = dict(type=int, default=DEFAULT_EDGE_CAP,
+               help="edge count cap for exponential enumerations "
+                    f"(default {DEFAULT_EDGE_CAP})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -434,8 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the directed edge adjacency map")
     p.add_argument("--multivariate", action="store_true",
                    help="emit the full multivariate polynomial")
-    p.add_argument("--univariate", action="store_true",
-                   help="specialize to one variable (default)")
+    p.add_argument("--cap", **cap)
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("trails", parents=[common],
@@ -456,6 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--k-connectivity", type=int, default=None,
                    help="known edge connectivity, unlocks long cycle counts")
+    p.add_argument("--cap", **cap)
     p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("selfadjoint", parents=[common],

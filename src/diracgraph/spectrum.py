@@ -3,7 +3,7 @@
 The point spectrum of the realization attached to the graph of an edge map
 ``A`` consists of the zeros of the secular function
 ``P_A(exp(i lambda l_1), .., exp(i lambda l_n))``.  Three solvers cover the
-practical cases:
+practical cases, and each one only proposes candidate zeros:
 
 * commensurable lengths reduce the secular function to an ordinary
   polynomial in ``z = exp(i lambda delta)``; its nonzero roots generate
@@ -13,8 +13,14 @@ practical cases:
 * general maps have complex zeros, located by winding numbers over a
   rectangle with recursive subdivision.
 
-Multiplicities never come from root clustering: every reported eigenvalue is
-confirmed by the kernel dimension of ``diag(exp(i lambda l)) - A`` via SVD,
+All three end in one shared step.  Nearby candidates are grouped (the
+group size is a multiplicity hint), every group is certified by the kernel
+dimension of ``diag(exp(i lambda l)) - A`` via SVD, escalating through
+derivative polishes for multiple zeros, and the certified values go through
+the same rules: a window with slack ``DEDUPE_RADIUS`` (plus any contour
+padding), a residual above the tolerance drops the entry with a warning, a
+rank rejection is always warned, and values within ``DEDUPE_RADIUS`` of each
+other are reported once.  Multiplicities never come from root clustering,
 and the kernel vectors double as eigenfunction amplitudes.
 """
 
@@ -32,11 +38,13 @@ from .errors import ContourError, DiracGraphError, WindowTooLargeError
 from . import linalg
 
 # Default tolerances: residuals are relative to the coefficient sum of the
-# secular function, rank decisions are relative SVD cutoffs, and nearby roots
-# merge within the dedupe radius.
+# secular function, rank decisions are relative SVD cutoffs, nearby roots
+# merge within the dedupe radius, and maps count as unitary up to
+# UNITARY_TOL.
 RESIDUAL_TOL = 1e-10
 RANK_RTOL = 1e-8
 DEDUPE_RADIUS = 1e-7
+UNITARY_TOL = 1e-8
 
 # Refuse real windows expected to contain more roots than this.
 MAX_EXPECTED_ROOTS = 10**5
@@ -152,21 +160,20 @@ def multiplicity(
 
 def _eigenfunctions_from_kernel(lam, lengths, kernel) -> tuple[Eigenfunction, ...]:
     # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
-    lengths = np.asarray(lengths, dtype=float)
     grow = np.exp(1j * lam * lengths)
     return tuple(
         Eigenfunction(complex(lam), grow * kernel[:, k]) for k in range(kernel.shape[1])
     )
 
 
-def _entry(a, lengths, cf, lam, rank_rtol) -> EigenvalueEntry | None:
-    m, kernel = multiplicity(a, lengths, lam, rank_rtol)
+def _entry(a, cf, lam, rank_rtol=RANK_RTOL) -> EigenvalueEntry | None:
+    m, kernel = multiplicity(a, cf.lengths, lam, rank_rtol)
     if m == 0:
         return None
     scale = cf.scale or 1.0
     residual = abs(complex(cf.eval(lam))) / scale
     return EigenvalueEntry(
-        complex(lam), m, residual, _eigenfunctions_from_kernel(lam, lengths, kernel)
+        complex(lam), m, residual, _eigenfunctions_from_kernel(lam, cf.lengths, kernel)
     )
 
 
@@ -223,16 +230,53 @@ def _polish_mult(cf: CharFunction, z0: complex, mult: int) -> complex:
     )
 
 
-def _certify(a, lengths, cf, lam, rank_rtol, real_axis: bool = False):
+def _group(points, radius: float) -> list[tuple[complex, int]]:
+    """Single-linkage groups of points as ``(centroid, size)`` pairs.
+
+    Two points share a group when a chain of steps of at most ``radius``
+    links them.  Sorted by real part, each point is compared only with the
+    earlier points within ``radius`` in real part.  Eigensolver output
+    scatters an ``m``-fold root symmetrically, so the centroid restores
+    nearly full accuracy where the single roots only carry ``m``-th root of
+    machine precision; the size is the multiplicity hint.  Groups come out
+    in the order of their leftmost points.
+    """
+    pts = sorted((complex(z) for z in points), key=lambda z: (z.real, z.imag))
+    parent = list(range(len(pts)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    lo = 0
+    for i, z in enumerate(pts):
+        while z.real - pts[lo].real > radius:
+            lo += 1
+        for j in range(lo, i):
+            if abs(z - pts[j]) <= radius:
+                parent[find(j)] = find(i)
+    groups: dict[int, list[complex]] = {}
+    for i, z in enumerate(pts):
+        groups.setdefault(find(i), []).append(z)
+    return [(sum(g) / len(g), len(g)) for g in groups.values()]
+
+
+def _certify(a, cf, lam, hint: int, real_axis: bool, warnings: list[str]):
     """Rank-test a candidate, escalating through derivative polishes.
 
     Values of the secular function locate an ``m``-fold zero only to about
     ``eps**(1/m)``, far too coarse for the rank test, so on rejection the
-    candidate is re-polished as an assumed multiple zero of increasing order
-    until some multiplicity certifies.  A certified multiple zero is then
-    re-polished once more at its actual multiplicity, pinning the value to
-    machine accuracy.  ``real_axis`` restricts to real candidates (unitary
-    maps have real spectrum; a polish drifting off the axis is discarded).
+    candidate is re-polished as an assumed multiple zero of increasing order,
+    starting at ``max(2, hint)``, until some multiplicity certifies.  A
+    certified multiple zero is then re-polished once more at its actual
+    multiplicity, pinning the value to machine accuracy.  As a last resort a
+    candidate hinted at ``hint > 1`` zeros is tested with the rank tolerance
+    loosened to its location accuracy, with a warning, rather than dropping
+    a zero the strict test cannot see.  ``real_axis`` restricts to real
+    candidates (unitary maps have real spectrum; a polish drifting off the
+    axis is discarded).
     """
 
     def snap(z: complex) -> complex | None:
@@ -242,54 +286,82 @@ def _certify(a, lengths, cf, lam, rank_rtol, real_axis: bool = False):
             return None
         return complex(z.real)
 
-    entry = _entry(a, lengths, cf, lam, rank_rtol)
+    lam = complex(lam)
+    hinted = lam
+    entry = _entry(a, cf, lam)
     if entry is None:
-        for m in range(2, a.n_edges + 1):
-            z = snap(_polish_mult(cf, complex(lam), m))
+        for m in range(max(2, hint), a.n_edges + 1):
+            z = snap(_polish_mult(cf, lam, m))
             if z is None:
                 continue
-            entry = _entry(a, lengths, cf, z, rank_rtol)
+            if m == hint:
+                hinted = z
+            entry = _entry(a, cf, z)
             if entry is not None:
                 break
     if entry is not None and entry.multiplicity > 1:
-        z = snap(_polish_mult(cf, complex(entry.value), entry.multiplicity))
+        z = snap(_polish_mult(cf, entry.value, entry.multiplicity))
         if z is not None:
-            better = _entry(a, lengths, cf, z, rank_rtol)
+            better = _entry(a, cf, z)
             if better is not None and better.multiplicity == entry.multiplicity:
                 entry = better
+    if entry is None and hint > 1:
+        loose = max(RANK_RTOL, 20.0 * float(np.finfo(float).eps) ** (1.0 / hint))
+        entry = _entry(a, cf, hinted, loose)
+        if entry is not None:
+            warnings.append(
+                f"rank tolerance loosened to {loose:.1e} at {hinted:.6g} "
+                f"(multiplicity hint {hint})"
+            )
     return entry
 
 
-# -- exact solver for commensurable lengths ------------------------------
+def _certified_entries(
+    a,
+    cf: CharFunction,
+    window: Window,
+    candidates,
+    residual_tol: float,
+    warnings: list[str],
+    *,
+    pad: float = 0.0,
+    real_axis: bool = False,
+) -> tuple[EigenvalueEntry, ...]:
+    """The step every solver ends in: certify, filter, collapse.
 
-
-def _cluster_roots(roots: np.ndarray, radius: float) -> list[complex]:
-    """Centroids of root clusters.
-
-    Eigensolver output scatters a multiplicity ``m`` root symmetrically, so
-    the cluster centroid restores nearly full accuracy where the individual
-    roots only carry ``m``-th root of machine precision.
+    ``candidates`` holds ``(point, hint)`` pairs.  Candidates and certified
+    values both have to lie in the window widened by ``pad + DEDUPE_RADIUS``;
+    a rank rejection and a residual above ``residual_tol`` are warned and
+    the candidate dropped.  Certified values within ``DEDUPE_RADIUS`` of a
+    kept one are collapsed into it in a single sorted pass: scattered roots
+    of one zero, or neighbouring grid minima in its flat noise basin, can
+    all certify to the same eigenvalue.
     """
-    points = sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
-    used = [False] * len(points)
-    out: list[complex] = []
-    for i, z in enumerate(points):
-        if used[i]:
+    slack = pad + DEDUPE_RADIUS
+    entries = []
+    for lam, hint in candidates:
+        if not window.contains(lam, slack):
             continue
-        cluster = [z]
-        used[i] = True
-        grew = True
-        while grew:
-            grew = False
-            for j, y in enumerate(points):
-                if used[j]:
-                    continue
-                if any(abs(y - c) <= radius for c in cluster):
-                    cluster.append(y)
-                    used[j] = True
-                    grew = True
-        out.append(sum(cluster) / len(cluster))
-    return out
+        entry = _certify(a, cf, lam, hint, real_axis, warnings)
+        if entry is None:
+            warnings.append(f"candidate {lam:.6g} rejected by rank check")
+            continue
+        if not window.contains(entry.value, slack):
+            continue
+        if entry.residual > residual_tol:
+            warnings.append(
+                f"candidate {entry.value:.6g} dropped: residual {entry.residual:.2e}"
+            )
+            continue
+        entries.append(entry)
+    unique: list[EigenvalueEntry] = []
+    for entry in _sorted_entries(entries):
+        if not unique or abs(entry.value - unique[-1].value) > DEDUPE_RADIUS:
+            unique.append(entry)
+    return tuple(unique)
+
+
+# -- exact solver for commensurable lengths ------------------------------
 
 
 def spectrum_exact_commensurable(
@@ -299,7 +371,6 @@ def spectrum_exact_commensurable(
     window,
     *,
     residual_tol: float = RESIDUAL_TOL,
-    rank_rtol: float = RANK_RTOL,
 ) -> SpectrumReport:
     """Spectrum for edge lengths ``l_e = m_e * delta`` with integer ``m_e``.
 
@@ -320,17 +391,16 @@ def spectrum_exact_commensurable(
         mult = [int(m) for m in multipliers]
     if any(m <= 0 for m in mult):
         raise ValueError("multipliers must be positive integers")
-    lengths = np.array(mult, dtype=float) * delta
     poly = char_poly(a)
     coeffs = specialize_univariate(poly, mult)
     if not np.any(coeffs):
         raise DiracGraphError("secular polynomial is identically zero")
-    cf = CharFunction(poly, lengths)
+    cf = CharFunction(poly, np.array(mult, dtype=float) * delta)
 
     warnings: list[str] = []
     low = int(np.argmax(np.abs(coeffs) > 0))
     trimmed = coeffs[low:]
-    entries: list[EigenvalueEntry] = []
+    candidates: list[tuple[complex, int]] = []
     if trimmed.size <= 1:
         warnings.append(
             "secular polynomial is a single monomial; the map is singular and "
@@ -341,39 +411,15 @@ def spectrum_exact_commensurable(
         roots = roots[np.abs(roots) > 1e-12]
         radius = min(1e-5, math.pi / (4 * max(1, len(trimmed))))
         period = 2 * math.pi / delta
-        for z0 in _cluster_roots(roots, radius):
+        for z0, size in _group(roots, radius):
             phi = math.atan2(z0.imag, z0.real) % (2 * math.pi)
             alpha = math.log(abs(z0))
             base = (phi - 1j * alpha) / delta
             k_lo = math.ceil((window.re_min - base.real) / period - 1e-12)
             k_hi = math.floor((window.re_max - base.real) / period + 1e-12)
-            for k in range(k_lo, k_hi + 1):
-                lam = base + k * period
-                if not window.contains(lam, slack=1e-12):
-                    continue
-                entry = _certify(a, lengths, cf, lam, rank_rtol)
-                if entry is None:
-                    warnings.append(
-                        f"root family member {lam:.6g} rejected by rank check"
-                    )
-                    continue
-                if entry.residual > residual_tol:
-                    warnings.append(
-                        f"eigenvalue {lam:.6g} kept with residual {entry.residual:.2e}"
-                    )
-                entries.append(entry)
-    # Scattered companion roots of a multiple zero certify to the same
-    # polished eigenvalue, once per scattered copy; collapse them.
-    unique: list[EigenvalueEntry] = []
-    for entry in _sorted_entries(entries):
-        if unique and abs(entry.value - unique[-1].value) <= 1e-9 * (
-            1 + abs(entry.value)
-        ):
-            continue
-        unique.append(entry)
-    return SpectrumReport(
-        "exact-commensurable", window, tuple(unique), tuple(warnings)
-    )
+            candidates.extend((base + k * period, size) for k in range(k_lo, k_hi + 1))
+    entries = _certified_entries(a, cf, window, candidates, residual_tol, warnings)
+    return SpectrumReport("exact-commensurable", window, entries, tuple(warnings))
 
 
 # -- real line scan for unitary maps -------------------------------------
@@ -385,9 +431,6 @@ def spectrum_numeric(
     window=(-10.0, 10.0),
     *,
     residual_tol: float = RESIDUAL_TOL,
-    rank_rtol: float = RANK_RTOL,
-    dedupe_radius: float = DEDUPE_RADIUS,
-    unitary_tol: float = 1e-8,
 ) -> SpectrumReport:
     """Real spectrum of a unitary edge map on a real window, by scan and polish.
 
@@ -395,17 +438,14 @@ def spectrum_numeric(
     hide between samples (its derivative is bounded by the total length
     times the coefficient sum).  Local minima of the magnitude below a
     promotion threshold derived from that bound are polished by Newton
-    iteration, deduplicated, and confirmed by the SVD rank test.  For a map
+    iteration, grouped, and confirmed by the SVD rank test.  For a map
     that is not unitary the spectrum need not be real and this solver
     refuses; use the contour solver instead.
     """
-    if lengths is None:
-        lengths = a.graph.lengths()
-    lengths = np.asarray(lengths, dtype=float)
     window = as_window(window)
     if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
         raise ValueError("scan solver needs a window containing the real line")
-    if not is_unitary(a, unitary_tol):
+    if not is_unitary(a, UNITARY_TOL):
         raise DiracGraphError(
             "edge map is not unitary, its spectrum need not be real; "
             "use the contour solver on a rectangle instead"
@@ -438,51 +478,28 @@ def spectrum_numeric(
     # let the rank test reject false alarms.
     threshold = scale * max(1e-3, total * step)
 
-    candidates: list[float] = []
+    minima: list[float] = []
     for i in range(len(grid)):
         left = vals[i - 1] if i > 0 else math.inf
         right = vals[i + 1] if i + 1 < len(grid) else math.inf
         if vals[i] <= left and vals[i] <= right and vals[i] < threshold:
-            candidates.append(float(grid[i]))
+            minima.append(float(grid[i]))
 
     roots: list[float] = []
-    for x0 in candidates:
+    for x0 in minima:
         z = _newton(cf, x0)
         # A unitary spectrum is real, but inside the noise plateau of an
         # m-fold zero the Newton limit drifts off axis by about eps**(1/m);
         # gate generously and let certification reject what is not a zero.
-        if abs(z.imag) > 1e-3:
-            continue
-        x = float(z.real)
-        if not (window.re_min - dedupe_radius <= x <= window.re_max + dedupe_radius):
-            continue
-        x = min(max(x, window.re_min), window.re_max)
-        if any(abs(x - r) <= dedupe_radius for r in roots):
-            continue
-        roots.append(x)
-
-    entries = []
-    for x in sorted(roots):
-        entry = _certify(a, lengths, cf, x, rank_rtol, real_axis=True)
-        if entry is None:
-            continue
-        if not (
-            window.re_min - dedupe_radius
-            <= entry.value.real
-            <= window.re_max + dedupe_radius
-        ):
-            continue
-        if any(abs(entry.value - prev.value) <= dedupe_radius for prev in entries):
-            # the flat noise basin of a high order zero can promote several
-            # grid minima that all polish to the same eigenvalue
-            continue
-        if entry.residual > residual_tol:
-            warnings.append(
-                f"candidate {x:.9g} dropped: residual {entry.residual:.2e}"
-            )
-            continue
-        entries.append(entry)
-    return SpectrumReport("scan", window, _sorted_entries(entries), tuple(warnings))
+        if abs(z.imag) <= 1e-3:
+            roots.append(z.real)
+    # Neighbouring grid minima polish to the same zero: their group size is
+    # no multiplicity evidence, so every group is hinted as simple.
+    candidates = [(x, 1) for x, _ in _group(roots, DEDUPE_RADIUS)]
+    entries = _certified_entries(
+        a, cf, window, candidates, residual_tol, warnings, real_axis=True
+    )
+    return SpectrumReport("scan", window, entries, tuple(warnings))
 
 
 # -- contour solver for general maps -------------------------------------
@@ -606,8 +623,6 @@ def spectrum_complex(
     rect=None,
     *,
     residual_tol: float = RESIDUAL_TOL,
-    rank_rtol: float = RANK_RTOL,
-    dedupe_radius: float = DEDUPE_RADIUS,
 ) -> SpectrumReport:
     """Complex zeros of the secular function inside a rectangle.
 
@@ -618,9 +633,6 @@ def spectrum_complex(
     times.  The report's ``winding`` field carries the total count as an
     independent check on the listed multiplicities.
     """
-    if lengths is None:
-        lengths = a.graph.lengths()
-    lengths = np.asarray(lengths, dtype=float)
     if rect is None:
         raise ValueError("contour solver needs a rectangle")
     window = rect if isinstance(rect, Window) else Window.rect(*rect)
@@ -659,56 +671,20 @@ def spectrum_complex(
     if pad > 0:
         warnings.append(f"contour perturbed outward by {pad:.2e} to avoid a zero")
 
-    # Group nearby candidates; unresolved cells emit a zero once per unit of
-    # winding, so the group size hints the algebraic multiplicity.
-    groups: list[list[complex]] = []
-    for z in sorted(zeros, key=lambda v: (v.real, v.imag)):
-        if groups and abs(z - groups[-1][-1]) <= dedupe_radius:
-            groups[-1].append(z)
-        else:
-            groups.append([z])
-
-    entries = []
-    reported = 0
-    for grp in groups:
-        hint = len(grp)
-        z = _polish_mult(cf, _newton(cf, sum(grp) / hint, mult=hint), hint)
-        if not window.contains(z, slack=pad + dedupe_radius):
-            continue
-        entry = _entry(a, lengths, cf, z, rank_rtol)
-        if entry is not None and entry.multiplicity > 1 and hint == 1:
-            # a lone candidate can still sit on a multiple zero
-            z2 = _polish_mult(cf, z, entry.multiplicity)
-            e2 = _entry(a, lengths, cf, z2, rank_rtol)
-            if e2 is not None:
-                z, entry = z2, e2
-        if entry is None and hint > 1:
-            # An m-fold zero located to eps**(1/m) at worst; loosen the
-            # rank tolerance to match rather than drop a winding-certified
-            # zero whose kernel the strict test cannot see.
-            loose = max(rank_rtol, 20.0 * float(np.finfo(float).eps) ** (1.0 / hint))
-            entry = _entry(a, lengths, cf, z, loose)
-            if entry is not None:
-                warnings.append(
-                    f"rank tolerance loosened to {loose:.1e} at {z:.6g} "
-                    f"(winding multiplicity {hint})"
-                )
-        if entry is None:
-            warnings.append(f"candidate {z:.6g} rejected by rank check")
-            continue
-        if entry.residual > residual_tol:
-            warnings.append(f"candidate {z:.6g} dropped: residual {entry.residual:.2e}")
-            continue
-        entries.append(entry)
-        reported += entry.multiplicity
+    # Unresolved cells emit a zero once per unit of winding, so the group
+    # size hints the algebraic multiplicity; polish each group at it.
+    candidates = [
+        (_polish_mult(cf, _newton(cf, z, mult=hint), hint), hint)
+        for z, hint in _group(zeros, DEDUPE_RADIUS)
+    ]
+    entries = _certified_entries(a, cf, window, candidates, residual_tol, warnings, pad=pad)
+    reported = sum(e.multiplicity for e in entries)
     if reported != total_winding:
         warnings.append(
             f"winding number {total_winding} and reported multiplicity sum "
             f"{reported} disagree"
         )
-    return SpectrumReport(
-        "contour", window, _sorted_entries(entries), tuple(warnings), winding=total_winding
-    )
+    return SpectrumReport("contour", window, entries, tuple(warnings), winding=total_winding)
 
 
 # -- boundary conditions beyond graphs of edge maps ----------------------

@@ -23,6 +23,7 @@ from diracgraph import (
     split_reducible,
     univariate_to_string,
 )
+from diracgraph.charpoly import EVAL_BLOCK
 from diracgraph.errors import EnumerationCapExceeded
 from diracgraph.randgen import random_g_endomorphism, random_graph
 
@@ -446,6 +447,32 @@ def test_vectorized_evaluation():
     assert vals.shape == (3,)
     for lam, val in zip(lams, vals):
         assert complex(f(lam)) == pytest.approx(val)
+
+
+def test_evaluation_in_blocks_matches_point_substitution():
+    # A grid longer than one evaluation block, shaped 2-d, for the value and
+    # a derivative; the derivative oracle is the polynomial with each
+    # monomial weighted by i times its summed length.
+    rng = np.random.default_rng(71)
+    g = random_graph(rng, max_edges=5)
+    p = char_poly(random_g_endomorphism(g, rng))
+    lengths = np.array(g.lengths())
+    f = CharFunction(p, lengths)
+    n = 2 * EVAL_BLOCK + 37
+    lams = (np.linspace(-30.0, 30.0, n) + 0.2j * rng.normal(size=n)).reshape(-1, 1)
+    weighted = MultiPoly(
+        p.edge_ids,
+        {
+            m: 1j * sum(lengths[i] for i in range(p.n_vars) if m >> i & 1) * c
+            for m, c in p.terms.items()
+        },
+    )
+    vals, derivs = f.eval(lams), f.eval_dk(lams, 1)
+    assert vals.shape == derivs.shape == lams.shape
+    for lam, val, der in zip(lams[:, 0], vals[:, 0], derivs[:, 0]):
+        x = np.exp(1j * lam * lengths)
+        assert val == pytest.approx(p.evaluate_point(x), rel=1e-10, abs=1e-12)
+        assert der == pytest.approx(weighted.evaluate_point(x), rel=1e-10, abs=1e-12)
 
 
 def test_scale_and_total_length():

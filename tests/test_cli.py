@@ -261,6 +261,18 @@ def test_charpoly_needs_a_map(tmp_path, capsys):
     assert "--adjacency" in err
 
 
+@pytest.mark.parametrize("use_bc", [False, True])
+def test_charpoly_honours_cap(tmp_path, capsys, use_bc):
+    gp = write_graph(tmp_path, rose(4))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    argv = ["charpoly", gp, *(["--bc", bc] if use_bc else ["--adjacency"])]
+    rc, _, err = run(capsys, argv + ["--cap", "3"])
+    assert rc == EXIT_REFUSAL
+    assert "capped at 3" in err
+    rc, _, _ = run(capsys, argv + ["--cap", "4"])
+    assert rc == EXIT_OK
+
+
 # -- trails ---------------------------------------------------------------
 
 
@@ -335,6 +347,13 @@ def test_topology_triangle(tmp_path, capsys):
     }
 
 
+def test_topology_honours_cap(tmp_path, capsys):
+    gp = write_graph(tmp_path, rose(4))
+    rc, _, err = run(capsys, ["topology", gp, "--cap", "3"])
+    assert rc == EXIT_REFUSAL
+    assert "capped at 3" in err
+
+
 def test_topology_acyclic_refused(tmp_path, capsys):
     g = graph_from_edges([("e", "u", "w", 1.0)])
     gp = write_graph(tmp_path, g)
@@ -404,5 +423,25 @@ def test_output_is_deterministic(tmp_path, capsys):
     bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
     argv = ["spectrum", gp, "--bc", bc, "--window", "-4", "4"]
     _, out1, _ = run(capsys, argv)
-    _, out2, _ = run(capsys, argv + ["--seed", "7", "--threads", "4"])
+    _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--threads", "4"],
+        ["spectrum", "--bc", "bc.json", "--seed", "7"],
+        ["charpoly", "--adjacency", "--univariate"],
+        ["validate", "--cap", "3"],
+        ["index", "--bc", "bc.json", "--cap", "3"],
+        ["spectrum", "--bc", "bc.json", "--cap", "3"],
+        ["trails", "--enumerate", "--cap", "3"],
+        ["selfadjoint", "--bc", "bc.json", "--cap", "3"],
+    ],
+)
+def test_options_that_would_do_nothing_are_rejected(tmp_path, argv):
+    gp = write_graph(tmp_path, rose(1))
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [gp] + argv[1:])
+    assert exc.value.code == 2  # argparse's usage error
