@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .graph import DEFAULT_EDGE_CAP, Edge, MetricGraph, Subgraph
 COEFF_CLEANUP = 1e-13
 
 # The secular function is summed over at most this many points at a time,
-# which bounds its (points x terms) phase matrix on long scan grids.
-EVAL_BLOCK = 1024
+# which bounds its (points x terms) phase matrix on long point arrays.
+EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -373,6 +373,22 @@ class CharFunction:
         """Value at a complex point or an array of points."""
         return self._sum(lam, self._coeffs)
 
+    def eval_grid(self, start: float, step: float, n: int) -> np.ndarray:
+        """Values at the ``n`` points ``start + j * step``, as one matrix product.
+
+        The points fall into blocks of ``b ~ sqrt(n)`` consecutive ones and
+        ``exp(i (s + j step) L) = exp(i j step L) exp(i s L)``, so a table of
+        the ``b`` offsets times a table of the block starts ``s`` (with the
+        coefficients folded in) gives every value from ``b + n / b``
+        exponentials per term instead of ``n``.
+        """
+        b = isqrt(n) + 1
+        offsets = np.exp(1j * np.multiply.outer(step * np.arange(b), self._mask_lengths))
+        starts = start + step * (b * np.arange(-(-n // b)))
+        heads = np.exp(1j * np.multiply.outer(self._mask_lengths, starts))
+        values = offsets @ (heads * self._coeffs[:, None])
+        return values.T.ravel()[:n]
+
     def eval_deriv(self, lam):
         """Derivative in ``lambda``; each monomial picks up ``i`` times its length."""
         return self.eval_dk(lam, 1)
@@ -385,7 +401,8 @@ class CharFunction:
         """``sum_t weights_t exp(i lam L_t)``, in blocks of ``EVAL_BLOCK`` points."""
         lam = np.asarray(lam, dtype=complex)
         if lam.size <= EVAL_BLOCK:
-            return np.exp(1j * np.multiply.outer(lam, self._mask_lengths)) @ weights
+            phases = np.multiply.outer(lam, 1j * self._mask_lengths)
+            return np.exp(phases, out=phases) @ weights
         flat = lam.ravel()
         blocks = [
             self._sum(flat[s : s + EVAL_BLOCK], weights)

@@ -151,7 +151,10 @@ def _report_payload(report, args):
     return report_to_json(report)
 
 
-def _report_lines(report):
+def _report_lines(report, fmt: str):
+    # One f-string per eigenvalue: build them only for the format printing them.
+    if fmt != "pretty":
+        return None
     lines = [f"solver: {report.solver}"]
     for e in report.eigenvalues:
         lines.append(
@@ -227,7 +230,7 @@ def cmd_spectrum(args) -> int:
 
     for w in report.warnings:
         _warn(w)
-    _emit(_report_payload(report, args), args.format, _report_lines(report))
+    _emit(_report_payload(report, args), args.format, _report_lines(report, args.format))
     return EXIT_OK
 
 
@@ -318,7 +321,7 @@ def cmd_trails(args) -> int:
                 payload["longest_trail"] = {"length": length, "count": count}
             except ValueError:
                 _warn("window contains no positive eigenvalue; longest trail omitted")
-        _emit(payload, args.format, _report_lines(report))
+        _emit(payload, args.format, _report_lines(report, args.format))
         return EXIT_OK
 
     _emit(

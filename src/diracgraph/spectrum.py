@@ -9,14 +9,17 @@ practical cases, and each one only proposes candidate zeros:
   polynomial in ``z = exp(i lambda delta)``; its nonzero roots generate
   periodic eigenvalue families (exact route),
 * unitary maps have real spectrum, found by a grid scan of the secular
-  function on a real window followed by Newton polishing,
+  function on a real window followed by Newton polishing; the scan works
+  on whole arrays (grid values from one blocked product, minima by a mask,
+  one Newton iteration over all minima at once),
 * general maps have complex zeros, located by winding numbers over a
   rectangle with recursive subdivision.
 
 All three end in one shared step.  Nearby candidates are grouped (the
 group size is a multiplicity hint), every group is certified by the kernel
-dimension of ``diag(exp(i lambda l)) - A`` via SVD, escalating through
-derivative polishes for multiple zeros, and the certified values go through
+dimension of ``diag(exp(i lambda l)) - A`` via SVD (one stacked call for
+the strict test of all candidates), escalating through derivative polishes
+for multiple zeros, and the certified values go through
 the same rules: a window with slack ``DEDUPE_RADIUS`` (plus any contour
 padding), a residual above the tolerance drops the entry with a warning, a
 rank rejection is always warned, and values within ``DEDUPE_RADIUS`` of each
@@ -48,6 +51,9 @@ UNITARY_TOL = 1e-8
 
 # Refuse real windows expected to contain more roots than this.
 MAX_EXPECTED_ROOTS = 10**5
+
+# Rank tests stack at most this many matrices in one SVD call.
+SVD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -138,24 +144,39 @@ def multiplicity(
     (columns).  The kernel vectors are the edge values of eigenfunctions at
     the edge ends; zero dimension means ``lam`` is not an eigenvalue.
     """
+    return _multiplicities(a, lengths, [lam], rank_rtol)[0]
+
+
+def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
+    """:func:`multiplicity` at every point of ``lams``, by stacked SVDs.
+
+    The matrices go to LAPACK ``SVD_CHUNK`` at a time, which bounds the
+    stack; the decisions are those of :func:`multiplicity` point by point.
+    """
     lengths = np.asarray(lengths, dtype=float)
-    phases = np.exp(1j * lam * lengths)
-    m = np.diag(phases) - a.matrix
-    u, s, vh = np.linalg.svd(m)
-    # Threshold against the operand scale, not s[0]: at an eigenvalue of a
-    # diagonal map the whole difference is tiny and every singular value
-    # would look nonzero relative to the largest.
-    scale = max(
-        float(s[0]) if s.size else 0.0,
-        float(np.max(np.abs(phases), initial=0.0)),
-        float(np.linalg.norm(a.matrix)),
-    )
-    if scale == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rank_rtol * scale))
-    kernel = vh[rank:].conj().T
-    return kernel.shape[1], kernel
+    lams = np.asarray(lams, dtype=complex).ravel()
+    n = lengths.size
+    diag = np.arange(n)
+    norm_a = float(np.linalg.norm(a.matrix))
+    out = []
+    for s in range(0, lams.size, SVD_CHUNK):
+        phases = np.exp(1j * np.multiply.outer(lams[s : s + SVD_CHUNK], lengths))
+        m = np.zeros((len(phases), n, n), dtype=complex)
+        m[:, diag, diag] = phases
+        m -= a.matrix
+        _, sv, vh = np.linalg.svd(m)
+        # Threshold against the operand scale, not s[0]: at an eigenvalue of
+        # a diagonal map the whole difference is tiny and every singular
+        # value would look nonzero relative to the largest.
+        scale = np.maximum(
+            np.max(sv, axis=1, initial=0.0),
+            np.maximum(np.max(np.abs(phases), axis=1, initial=0.0), norm_a),
+        )
+        ranks = np.count_nonzero(sv > rank_rtol * scale[:, None], axis=1)
+        for k, rank in enumerate(ranks):
+            kernel = vh[k, rank:].conj().T
+            out.append((kernel.shape[1], kernel))
+    return out
 
 
 def _eigenfunctions_from_kernel(lam, lengths, kernel) -> tuple[Eigenfunction, ...]:
@@ -166,55 +187,69 @@ def _eigenfunctions_from_kernel(lam, lengths, kernel) -> tuple[Eigenfunction, ..
     )
 
 
-def _entry(a, cf, lam, rank_rtol=RANK_RTOL) -> EigenvalueEntry | None:
-    m, kernel = multiplicity(a, cf.lengths, lam, rank_rtol)
+def _residual(cf: CharFunction, lam):
+    """Secular magnitude relative to the coefficient sum, the residual rule."""
+    return np.abs(cf.eval(lam)) / (cf.scale or 1.0)
+
+
+def _make_entry(cf, lam, m, kernel, residual) -> EigenvalueEntry | None:
     if m == 0:
         return None
-    scale = cf.scale or 1.0
-    residual = abs(complex(cf.eval(lam))) / scale
     return EigenvalueEntry(
-        complex(lam), m, residual, _eigenfunctions_from_kernel(lam, cf.lengths, kernel)
+        complex(lam), m, float(residual), _eigenfunctions_from_kernel(lam, cf.lengths, kernel)
     )
 
 
-def _guarded_newton(value, deriv, z0: complex, mult: int = 1, maxiter: int = 80) -> complex:
+def _entry(a, cf, lam, rank_rtol=RANK_RTOL) -> EigenvalueEntry | None:
+    m, kernel = multiplicity(a, cf.lengths, lam, rank_rtol)
+    return _make_entry(cf, lam, m, kernel, _residual(cf, lam) if m else 0.0)
+
+
+def _guarded_newton(value, deriv, z0, mult: int = 1, maxiter: int = 80):
     """Newton iteration that never lets the target magnitude increase.
 
     Inside the evaluation-noise basin of a zero the computed value is junk
     and a raw step of ``mult*f/f'`` can be enormous; backtracking rejects
-    such steps so the iterate parks at the best point reached.
+    such steps so the iterate parks at the best point reached.  ``z0`` may
+    be an array: every point iterates, halves its step (at most 10 times)
+    and stops (rejected step, step below ``1e-14`` relative, zero or
+    non-finite derivative) on its own, with ``value`` and ``deriv`` called
+    once per round on the points still moving.  A scalar start returns a
+    scalar.
     """
-    z = complex(z0)
+    z = np.array(z0, dtype=complex, ndmin=1)
     # trial steps may land where the exponentials overflow; the guard
     # rejects non-finite values, so the numpy warnings are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        fz = abs(complex(value(z)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fz = np.asarray(value(z), dtype=complex)
+        moving = np.flatnonzero(np.isfinite(np.abs(fz)))
         for _ in range(maxiter):
-            if not math.isfinite(fz):
+            if not moving.size:
                 break
-            dp = complex(deriv(z))
-            if dp == 0:
-                break
-            step = mult * complex(value(z)) / dp
-            if not cmath.isfinite(step):
-                break
-            accepted = False
+            dp = deriv(z[moving])
+            step = mult * fz[moving] / dp
+            keep = (dp != 0) & np.isfinite(step)
+            moving, step = moving[keep], step[keep]
+            base = np.abs(fz[moving])
+            trying = np.arange(moving.size)
             for _damp in range(10):
-                cand = z - step
-                fc = abs(complex(value(cand)))
-                if math.isfinite(fc) and fc <= fz:
-                    accepted = True
+                if not trying.size:
                     break
-                step /= 2
-            if not accepted:
-                break
-            z, fz = cand, fc
-            if abs(step) <= 1e-14 * (1.0 + abs(z)):
-                break
-    return z
+                idx = moving[trying]
+                cand = z[idx] - step[trying]
+                fc = np.asarray(value(cand), dtype=complex)
+                ok = np.abs(fc) <= base[trying]  # False for NaN
+                z[idx[ok]], fz[idx[ok]] = cand[ok], fc[ok]
+                step[trying[~ok]] /= 2
+                trying = trying[~ok]
+            accepted = np.ones(moving.size, dtype=bool)
+            accepted[trying] = False
+            moving, step = moving[accepted], step[accepted]
+            moving = moving[np.abs(step) > 1e-14 * (1.0 + np.abs(z[moving]))]
+    return z if np.ndim(z0) else complex(z[0])
 
 
-def _newton(cf: CharFunction, z0: complex, maxiter: int = 80, mult: int = 1) -> complex:
+def _newton(cf: CharFunction, z0, maxiter: int = 80, mult: int = 1):
     return _guarded_newton(cf.eval, cf.eval_deriv, z0, mult, maxiter)
 
 
@@ -263,20 +298,21 @@ def _group(points, radius: float) -> list[tuple[complex, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups.values()]
 
 
-def _certify(a, cf, lam, hint: int, real_axis: bool, warnings: list[str]):
-    """Rank-test a candidate, escalating through derivative polishes.
+def _certify(a, cf, lam, hint: int, real_axis: bool, warnings: list[str], entry):
+    """Escalate a candidate the strict rank test rejected or found multiple.
 
-    Values of the secular function locate an ``m``-fold zero only to about
-    ``eps**(1/m)``, far too coarse for the rank test, so on rejection the
-    candidate is re-polished as an assumed multiple zero of increasing order,
-    starting at ``max(2, hint)``, until some multiplicity certifies.  A
-    certified multiple zero is then re-polished once more at its actual
-    multiplicity, pinning the value to machine accuracy.  As a last resort a
-    candidate hinted at ``hint > 1`` zeros is tested with the rank tolerance
-    loosened to its location accuracy, with a warning, rather than dropping
-    a zero the strict test cannot see.  ``real_axis`` restricts to real
-    candidates (unitary maps have real spectrum; a polish drifting off the
-    axis is discarded).
+    ``entry`` is the strict test's outcome at ``lam`` (``None`` when it
+    found no kernel).  Values of the secular function locate an ``m``-fold
+    zero only to about ``eps**(1/m)``, far too coarse for the rank test, so
+    on rejection the candidate is re-polished as an assumed multiple zero of
+    increasing order, starting at ``max(2, hint)``, until some multiplicity
+    certifies.  A certified multiple zero is then re-polished once more at
+    its actual multiplicity, pinning the value to machine accuracy.  As a
+    last resort a candidate hinted at ``hint > 1`` zeros is tested with the
+    rank tolerance loosened to its location accuracy, with a warning, rather
+    than dropping a zero the strict test cannot see.  ``real_axis``
+    restricts to real candidates (unitary maps have real spectrum; a polish
+    drifting off the axis is discarded).
     """
 
     def snap(z: complex) -> complex | None:
@@ -288,7 +324,6 @@ def _certify(a, cf, lam, hint: int, real_axis: bool, warnings: list[str]):
 
     lam = complex(lam)
     hinted = lam
-    entry = _entry(a, cf, lam)
     if entry is None:
         for m in range(max(2, hint), a.n_edges + 1):
             z = snap(_polish_mult(cf, lam, m))
@@ -326,25 +361,38 @@ def _certified_entries(
     *,
     pad: float = 0.0,
     real_axis: bool = False,
+    quiet=(),
 ) -> tuple[EigenvalueEntry, ...]:
     """The step every solver ends in: certify, filter, collapse.
 
-    ``candidates`` holds ``(point, hint)`` pairs.  Candidates and certified
-    values both have to lie in the window widened by ``pad + DEDUPE_RADIUS``;
-    a rank rejection and a residual above ``residual_tol`` are warned and
-    the candidate dropped.  Certified values within ``DEDUPE_RADIUS`` of a
-    kept one are collapsed into it in a single sorted pass: scattered roots
-    of one zero, or neighbouring grid minima in its flat noise basin, can
-    all certify to the same eigenvalue.
+    ``candidates`` holds ``(point, hint)`` pairs; ``quiet`` holds more of
+    them whose rank rejection is not warned.  Candidates and certified
+    values both have to lie in the window widened by ``pad +
+    DEDUPE_RADIUS``.  Every candidate gets the strict rank test in one
+    stacked call; only those it rejects or finds multiple go through
+    :func:`_certify`.  A rank rejection and a residual above
+    ``residual_tol`` are warned and the candidate dropped.  Certified values
+    within ``DEDUPE_RADIUS`` of a kept one are collapsed into it in a single
+    sorted pass: scattered roots of one zero, or neighbouring grid minima in
+    its flat noise basin, can all certify to the same eigenvalue.
     """
     slack = pad + DEDUPE_RADIUS
+    tried = [
+        (complex(lam), hint, loud)
+        for group, loud in ((candidates, True), (quiet, False))
+        for lam, hint in group
+        if window.contains(lam, slack)
+    ]
+    points = np.array([lam for lam, _, _ in tried], dtype=complex)
+    strict = zip(_multiplicities(a, cf.lengths, points), _residual(cf, points))
     entries = []
-    for lam, hint in candidates:
-        if not window.contains(lam, slack):
-            continue
-        entry = _certify(a, cf, lam, hint, real_axis, warnings)
+    for (lam, hint, loud), ((m, kernel), residual) in zip(tried, strict):
+        entry = _make_entry(cf, lam, m, kernel, residual)
+        if entry is None or entry.multiplicity > 1:
+            entry = _certify(a, cf, lam, hint, real_axis, warnings, entry)
         if entry is None:
-            warnings.append(f"candidate {lam:.6g} rejected by rank check")
+            if loud:
+                warnings.append(f"candidate {lam:.6g} rejected by rank check")
             continue
         if not window.contains(entry.value, slack):
             continue
@@ -436,9 +484,11 @@ def spectrum_numeric(
 
     The secular function is sampled on a grid fine enough that no zero can
     hide between samples (its derivative is bounded by the total length
-    times the coefficient sum).  Local minima of the magnitude below a
-    promotion threshold derived from that bound are polished by Newton
-    iteration, grouped, and confirmed by the SVD rank test.  For a map
+    times the coefficient sum), by :meth:`CharFunction.eval_grid`.  Local
+    minima of the magnitude below a promotion threshold derived from that
+    bound are polished by one array Newton iteration, grouped, and
+    confirmed by the SVD rank test; a minimum whose Newton limit leaves the
+    real axis is tried as it stands.  For a map
     that is not unitary the spectrum need not be real and this solver
     refuses; use the contour solver instead.
     """
@@ -470,34 +520,30 @@ def spectrum_numeric(
 
     step = min(0.01, math.pi / (4 * total)) if total > 0 else 0.01
     n_steps = max(2, int(math.ceil(width / step)) + 1)
-    grid = np.linspace(window.re_min, window.re_max, n_steps)
-    vals = np.abs(cf.eval(grid))
+    spacing = width / (n_steps - 1)
+    vals = np.abs(cf.eval_grid(window.re_min, spacing, n_steps))
     scale = cf.scale
     # A zero within half a grid step of a sample keeps the sampled magnitude
     # below the derivative bound times that distance; promote generously and
     # let the rank test reject false alarms.
     threshold = scale * max(1e-3, total * step)
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    is_min = (vals <= padded[:-2]) & (vals <= padded[2:]) & (vals < threshold)
+    minima = window.re_min + spacing * np.flatnonzero(is_min)
 
-    minima: list[float] = []
-    for i in range(len(grid)):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i + 1 < len(grid) else math.inf
-        if vals[i] <= left and vals[i] <= right and vals[i] < threshold:
-            minima.append(float(grid[i]))
-
-    roots: list[float] = []
-    for x0 in minima:
-        z = _newton(cf, x0)
-        # A unitary spectrum is real, but inside the noise plateau of an
-        # m-fold zero the Newton limit drifts off axis by about eps**(1/m);
-        # gate generously and let certification reject what is not a zero.
-        if abs(z.imag) <= 1e-3:
-            roots.append(z.real)
+    limits = _newton(cf, minima)
+    # A unitary spectrum is real, but inside the noise plateau of an m-fold
+    # zero the Newton limit drifts off axis by about eps**(1/m); gate
+    # generously.  When even that gate fails (every limit from the plateau
+    # of a high-order zero can), the grid minimum itself is a quiet
+    # candidate: certification polishes it or drops it without a warning.
+    on_axis = np.abs(limits.imag) <= 1e-3
     # Neighbouring grid minima polish to the same zero: their group size is
     # no multiplicity evidence, so every group is hinted as simple.
-    candidates = [(x, 1) for x, _ in _group(roots, DEDUPE_RADIUS)]
+    candidates = [(x, 1) for x, _ in _group(limits.real[on_axis], DEDUPE_RADIUS)]
+    stalled = [(x, 1) for x in minima[~on_axis]]
     entries = _certified_entries(
-        a, cf, window, candidates, residual_tol, warnings, real_axis=True
+        a, cf, window, candidates, residual_tol, warnings, real_axis=True, quiet=stalled
     )
     return SpectrumReport("scan", window, entries, tuple(warnings))
 
@@ -577,10 +623,12 @@ def _zeros_in_rect(cf, re0, re1, im0, im1, floor, tol, depth=0) -> list[complex]
         # Accept only a strictly interior limit: Newton may converge to a
         # different zero just outside the cell while the counted one is
         # inside, and any zero actually on the boundary would have tripped
-        # the floor guard already.
-        if re0 <= z.real <= re1 and im0 <= z.imag <= im1:
+        # the floor guard already.  It must also pass the residual rule of
+        # the shared step, since a stalled iterate parks anywhere.
+        if re0 <= z.real <= re1 and im0 <= z.imag <= im1 and _residual(cf, z) <= tol:
             return [z]
-        # Newton escaped the cell; shrink it further below.
+        # Newton escaped the cell or stalled short of the zero; shrink it
+        # further below.
     if size < 64 * tol or depth >= 40:
         # Either a multiple zero (the winding never isolates to one) or a
         # stubborn cell: polish from the center and let the rank test assign

@@ -1,0 +1,110 @@
+"""Array layers of the scan: array Newton, stacked rank tests, the grid fallback."""
+
+import math
+
+import numpy as np
+import pytest
+
+from diracgraph import GEndomorphism, char_function, rose, spectrum_numeric
+from diracgraph.randgen import (
+    random_eulerian_graph,
+    random_g_endomorphism,
+    random_unitary_g_endomorphism,
+)
+from diracgraph.spectrum import (
+    RANK_RTOL,
+    _guarded_newton,
+    _multiplicities,
+    _zeros_in_rect,
+)
+
+
+def pointwise_multiplicity(a, lengths, lam):
+    """Kernel dimension of ``diag(exp(i lam l)) - A``, one SVD per point."""
+    phases = np.exp(1j * lam * np.asarray(lengths, dtype=float))
+    s = np.linalg.svd(np.diag(phases) - a.matrix, compute_uv=False)
+    scale = max(s[0], np.max(np.abs(phases)), np.linalg.norm(a.matrix))
+    return int(np.count_nonzero(s <= RANK_RTOL * scale))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_array_newton_matches_scalar_starts(seed):
+    rng = np.random.default_rng(500 + seed)
+    g = random_eulerian_graph(rng, max_edges=8, unit_lengths=False)
+    cf = char_function(random_g_endomorphism(g, rng))
+    starts = rng.uniform(-10, 10, 40) + 1j * rng.uniform(-1, 1, 40)
+    limits = _guarded_newton(cf.eval, cf.eval_deriv, starts)
+    assert limits.shape == starts.shape
+    for z0, z in zip(starts, limits):
+        one = _guarded_newton(cf.eval, cf.eval_deriv, complex(z0))
+        assert isinstance(one, complex)
+        assert abs(one - z) <= 1e-9 * (1.0 + abs(z))
+
+
+def test_array_newton_points_stop_on_their_own():
+    # Each start runs under its own rules: a zero derivative stops at once,
+    # a start on the zero stays, and the rest converge to the nearest root.
+    value = lambda z: z**2 - 1.0  # noqa: E731
+    deriv = lambda z: 2.0 * z  # noqa: E731
+    starts = np.array([0.0, 1.0, 3.0, -0.7 + 0.1j])
+    got = _guarded_newton(value, deriv, starts)
+    assert got[0] == 0.0 and got[1] == 1.0
+    assert got[2] == pytest.approx(1.0, abs=1e-15)
+    assert got[3] == pytest.approx(-1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_rank_tests_match_pointwise_svd(seed):
+    # Zeros of a random unitary map, points 1e-4 off them and generic
+    # complex points; then the n-fold zeros of the identity on a rose.
+    rng = np.random.default_rng(700 + seed)
+    g = random_eulerian_graph(rng, max_edges=6)
+    a = random_unitary_g_endomorphism(g, rng)
+    lengths = g.lengths()
+    zeros = spectrum_numeric(a, window=(-3.0, 9.0)).values()
+    n = 4
+    ident = GEndomorphism(rose(n), np.eye(n))
+    lams = np.concatenate(
+        [zeros, np.add(zeros, 1e-4), rng.uniform(-3, 9, 70) + 1j * rng.normal(size=70)]
+    )
+    got = _multiplicities(a, lengths, lams)
+    assert [m for m, _ in got] == [pointwise_multiplicity(a, lengths, z) for z in lams]
+    assert all(m >= 1 for m, _ in got[: len(zeros)])
+    for lam, (m, kernel) in zip(lams, got):
+        assert kernel.shape == (len(lengths), m)
+        residual = (np.diag(np.exp(1j * lam * np.asarray(lengths))) - a.matrix) @ kernel
+        assert np.linalg.norm(residual) <= 1e-6
+    multiple = [2 * math.pi * k for k in range(-1, 2)] + [1.0, 2.0]
+    got = _multiplicities(ident, [1.0] * n, multiple)
+    assert [m for m, _ in got] == [n, n, n, 0, 0]
+
+
+@pytest.mark.parametrize("lo", [-0.5, -0.3, 0.1])
+def test_scan_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
+    # Every Newton limit from the noise plateau of the 6-fold zero at 2 pi
+    # lands off the axis; the grid minimum itself has to carry the zero.
+    a = GEndomorphism(rose(6), np.eye(6))
+    rep = spectrum_numeric(a, window=(lo, 13.0))
+    want = [2 * math.pi * k for k in range(3) if 2 * math.pi * k >= lo]
+    assert np.allclose(rep.values(), want, atol=1e-9)
+    assert [e.multiplicity for e in rep.eigenvalues] == [6] * len(want)
+    assert rep.warnings == ()
+
+
+class StalledNewton:
+    """One zero at 0.3+0.1i whose tiny derivative makes every step overshoot."""
+
+    total_length = 1.0
+    scale = 1.0
+
+    def eval(self, z):
+        return z - (0.3 + 0.1j)
+
+    def eval_deriv(self, z):
+        return 1e-9
+
+
+def test_contour_cell_rejects_stalled_newton_iterate():
+    zeros = _zeros_in_rect(StalledNewton(), 0.0, 1.0, -0.5, 0.5, 1e-13, 1e-10)
+    assert len(zeros) == 1
+    assert abs(zeros[0] - (0.3 + 0.1j)) <= 1e-6
