@@ -14,7 +14,6 @@ from .adjacency import (
     AdjacencyEndomorphism,
     CoefficientProfile,
     TopologyReport,
-    adjacency_char_function,
     adjacency_nonsingular,
     build_adjacency,
     charpoly_via_collections,
@@ -24,9 +23,7 @@ from .adjacency import (
 from .boundary import (
     BoundarySubspace,
     GEndomorphism,
-    TraceForm,
     TraceSpace,
-    TraceVector,
     WitnessResult,
     adjoint_condition,
     endomorphism_from_subspace,
@@ -45,7 +42,6 @@ from .charpoly import (
     char_function,
     char_poly,
     detect_commensurable,
-    evaluate,
     reduce_vertex,
     specialize_univariate,
     split_reducible,

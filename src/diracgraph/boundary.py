@@ -1,14 +1,14 @@
 """Trace spaces, boundary subspaces and vertex-compatible edge maps.
 
 The trace of a function on a metric graph collects its values at both ends
-of every edge.  For fibre dimension ``r`` the trace space has dimension
-``2 r |E|``; coordinates are laid out edge by edge, start value before end
-value, in graph edge order.  A boundary condition for the first order
-operator ``i d/dx`` is a linear subspace of this trace space, and the
-questions answered here are linear algebra: dimension counts, adjoint
-subspaces with respect to the boundary pairing, locality at vertices, and
-reconstruction of a vertex-compatible edge map whose graph realizes a given
-self-adjoint condition.
+of every edge, so the trace space has dimension ``2 |E|``: edge ``e`` owns
+coordinate ``2e`` (its start value) and ``2e + 1`` (its end value), in
+graph edge order.  A boundary condition for the first order operator
+``i d/dx`` is a linear subspace of this trace space, and the questions
+answered here are linear algebra: dimension counts, adjoint subspaces with
+respect to the boundary pairing, locality at vertices, and reconstruction
+of a vertex-compatible edge map whose graph realizes a given self-adjoint
+condition.
 """
 
 from __future__ import annotations
@@ -26,110 +26,73 @@ REASON_NOT_EULERIAN = "graph not Eulerian"
 REASON_DIMENSION = "dim != |E|"
 REASON_NOT_SELF_ADJOINT = "B != B^ad"
 
+# Trace coordinates of the start and of the end values, edge by edge.
+_STARTS = slice(0, None, 2)
+_ENDS = slice(1, None, 2)
+
+# Boundary pairing of ``i d/dx`` on one edge: ``-i`` on the start value,
+# ``+i`` on the end value.
+_PAIRING = np.array([-1j, 1j])
+
 
 @dataclass(frozen=True)
 class TraceSpace:
     """Coordinate bookkeeping for boundary values on a metric graph.
 
-    For each edge ``r`` start components come first, then ``r`` end
-    components; edges follow graph order.  All embeddings and projections
-    between the edge value space (dimension ``r |E|``) and the trace space
-    (dimension ``2 r |E|``) are defined here so index conventions live in a
+    Edge ``e`` owns trace coordinate ``2e`` (start value) and ``2e + 1``
+    (end value); edges follow graph order.  All embeddings and projections
+    between the edge value space (dimension ``|E|``) and the trace space
+    (dimension ``2 |E|``) are defined here so index conventions live in a
     single place.
     """
 
     graph: MetricGraph
-    rank: int = 1
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("fibre rank must be positive")
 
     @property
     def dim(self) -> int:
-        return 2 * self.rank * self.graph.n_edges
+        return 2 * self.graph.n_edges
 
     @property
     def edge_dim(self) -> int:
-        return self.rank * self.graph.n_edges
-
-    def start_slice(self, edge_index: int) -> slice:
-        base = 2 * self.rank * edge_index
-        return slice(base, base + self.rank)
-
-    def end_slice(self, edge_index: int) -> slice:
-        base = 2 * self.rank * edge_index + self.rank
-        return slice(base, base + self.rank)
-
-    def _start_indices(self) -> np.ndarray:
-        r, n = self.rank, self.graph.n_edges
-        return (2 * r * np.arange(n)[:, None] + np.arange(r)[None, :]).ravel()
-
-    def _end_indices(self) -> np.ndarray:
-        return self._start_indices() + self.rank
+        return self.graph.n_edges
 
     def embed_start(self, values: np.ndarray) -> np.ndarray:
         """Edge values as a trace vector supported on start components."""
         values = np.asarray(values, dtype=complex)
         out = np.zeros(values.shape[:-1] + (self.dim,), dtype=complex)
-        out[..., self._start_indices()] = values
+        out[..., _STARTS] = values
         return out
 
     def embed_end(self, values: np.ndarray) -> np.ndarray:
         """Edge values as a trace vector supported on end components."""
         values = np.asarray(values, dtype=complex)
         out = np.zeros(values.shape[:-1] + (self.dim,), dtype=complex)
-        out[..., self._end_indices()] = values
+        out[..., _ENDS] = values
         return out
 
     def project_start(self, trace: np.ndarray) -> np.ndarray:
-        return np.asarray(trace, dtype=complex)[self._start_indices()]
+        return np.asarray(trace, dtype=complex)[_STARTS].copy()
 
     def project_end(self, trace: np.ndarray) -> np.ndarray:
-        return np.asarray(trace, dtype=complex)[self._end_indices()]
+        return np.asarray(trace, dtype=complex)[_ENDS].copy()
 
     def vertex_coordinates(self, vertex_id: str) -> np.ndarray:
         """Trace coordinates attached to one vertex.
 
         Start components of edges leaving the vertex plus end components of
-        edges arriving at it.  A loop contributes both of its blocks.
+        edges arriving at it.  A loop contributes both of its coordinates.
         """
-        idx: list[int] = []
-        for ei in self.graph.out_edges(vertex_id):
-            s = self.start_slice(ei)
-            idx.extend(range(s.start, s.stop))
-        for ei in self.graph.in_edges(vertex_id):
-            s = self.end_slice(ei)
-            idx.extend(range(s.start, s.stop))
+        idx = [2 * ei for ei in self.graph.out_edges(vertex_id)]
+        idx += [2 * ei + 1 for ei in self.graph.in_edges(vertex_id)]
         return np.array(sorted(idx), dtype=int)
 
     def constant_trace_matrix(self) -> np.ndarray:
         """Matrix sending edge values ``w`` to the trace of the piecewise constant ``w``.
 
         Column ``j`` is the trace vector with the value 1 at both ends of
-        edge ``j`` (per fibre component).
+        edge ``j``.
         """
-        m = np.zeros((self.dim, self.edge_dim), dtype=complex)
-        cols = np.arange(self.edge_dim)
-        m[self._start_indices(), cols] = 1.0
-        m[self._end_indices(), cols] = 1.0
-        return m
-
-
-@dataclass(frozen=True)
-class TraceVector:
-    """One element of a trace space, with per-edge accessors."""
-
-    space: TraceSpace
-    data: np.ndarray
-
-    def start_part(self, edge_id: str) -> np.ndarray:
-        ei = self.space.graph.edge_index(edge_id)
-        return self.data[self.space.start_slice(ei)]
-
-    def end_part(self, edge_id: str) -> np.ndarray:
-        ei = self.space.graph.edge_index(edge_id)
-        return self.data[self.space.end_slice(ei)]
+        return np.repeat(np.eye(self.edge_dim, dtype=complex), 2, axis=0)
 
 
 class BoundarySubspace:
@@ -195,49 +158,6 @@ class BoundarySubspace:
         return f"BoundarySubspace(dim={self.dim}, ambient={self.space.dim})"
 
 
-class TraceForm:
-    """Boundary pairing data of a first order operator.
-
-    ``start_blocks[e]`` and ``end_blocks[e]`` are the ``r x r`` matrices the
-    pairing applies to the start and end components of edge ``e``; for the
-    scalar operator ``i d/dx`` they are ``-i`` and ``+i``.  Blocks must be
-    invertible.
-    """
-
-    def __init__(self, space: TraceSpace, start_blocks, end_blocks):
-        r = space.rank
-        n = space.graph.n_edges
-        self.space = space
-        self.start_blocks = [np.atleast_2d(np.asarray(b, dtype=complex)) for b in start_blocks]
-        self.end_blocks = [np.atleast_2d(np.asarray(b, dtype=complex)) for b in end_blocks]
-        if len(self.start_blocks) != n or len(self.end_blocks) != n:
-            raise ValueError("need one block per edge and per side")
-        for b in self.start_blocks + self.end_blocks:
-            if b.shape != (r, r):
-                raise ValueError(f"block shape {b.shape} does not match fibre rank {r}")
-            if linalg.numeric_rank(b) < r:
-                raise ValueError("singular boundary pairing block")
-
-    @classmethod
-    def scalar_dirac(cls, space: TraceSpace) -> "TraceForm":
-        """Pairing of ``i d/dx``: ``-i`` on start components, ``+i`` on ends."""
-        if space.rank != 1:
-            raise ValueError("scalar pairing needs fibre rank 1")
-        n = space.graph.n_edges
-        return cls(space, [-1j] * n, [1j] * n)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for ei in range(self.space.graph.n_edges):
-            s, t = self.space.start_slice(ei), self.space.end_slice(ei)
-            m[s, s] = self.start_blocks[ei]
-            m[t, t] = self.end_blocks[ei]
-        return m
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        return self.matrix() @ np.asarray(vectors, dtype=complex)
-
-
 class GEndomorphism:
     """Edge space map compatible with the vertex structure of a graph.
 
@@ -292,17 +212,14 @@ def is_unitary(a: GEndomorphism, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(gram), initial=0.0) <= tol)
 
 
-def graph_of(a: GEndomorphism, space: TraceSpace | None = None) -> BoundarySubspace:
+def graph_of(a: GEndomorphism) -> BoundarySubspace:
     """Boundary subspace ``{end values x, start values A x}`` of an edge map.
 
     Always local, always of dimension ``|E|``.  Basis column ``j`` places a 1
     in the end slot of edge ``j`` and distributes column ``j`` of the matrix
     over the start slots.
     """
-    if space is None:
-        space = TraceSpace(a.graph, 1)
-    if space.rank != 1 or space.graph is not a.graph:
-        raise ValueError("trace space must be the rank 1 space of the map's graph")
+    space = TraceSpace(a.graph)
     basis = space.embed_end(np.eye(a.n_edges, dtype=complex)).T
     basis += space.embed_start(a.matrix.T).T
     return BoundarySubspace(space, basis)
@@ -317,15 +234,13 @@ def endomorphism_from_subspace(b: BoundarySubspace) -> GEndomorphism | None:
     against subspaces that merely look like graphs.
     """
     space = b.space
-    if space.rank != 1:
-        raise ValueError("edge map recovery needs fibre rank 1")
     n = space.graph.n_edges
     if b.dim != n:
         return None
     if n == 0:
         return GEndomorphism(space.graph, np.zeros((0, 0)))
-    ends = np.stack([space.project_end(col) for col in b.matrix.T], axis=1)
-    starts = np.stack([space.project_start(col) for col in b.matrix.T], axis=1)
+    ends = space.project_end(b.matrix)
+    starts = space.project_start(b.matrix)
     if linalg.numeric_rank(ends, 1e-10) < n:
         return None
     a = starts @ np.linalg.inv(ends)
@@ -334,7 +249,7 @@ def endomorphism_from_subspace(b: BoundarySubspace) -> GEndomorphism | None:
         endo = GEndomorphism.cleaned(space.graph, a, 1e-9 * scale)
     except ValueError:
         return None
-    if not graph_of(endo, space).equals(b):
+    if not graph_of(endo).equals(b):
         return None
     return endo
 
@@ -370,19 +285,16 @@ def is_local(b: BoundarySubspace, rtol: float = linalg.RANK_RTOL) -> bool:
     return local_decomposition(b, rtol) is not None
 
 
-def adjoint_condition(b: BoundarySubspace, form: TraceForm | None = None) -> BoundarySubspace:
+def adjoint_condition(b: BoundarySubspace) -> BoundarySubspace:
     """Subspace of traces pairing to zero with every element of ``b``.
 
-    With the pairing matrix ``S`` this is the orthogonal complement of
-    ``S b``; its dimension is the ambient dimension minus ``dim b``.  A
-    subspace equal to its adjoint condition describes a self-adjoint
-    realization of the underlying formally self-adjoint operator.
+    With the diagonal pairing ``S = diag(-i, +i, -i, +i, ..)`` of ``i d/dx``
+    this is the orthogonal complement of ``S b``; its dimension is the
+    ambient dimension minus ``dim b``.  A subspace equal to its adjoint
+    condition describes a self-adjoint realization of the underlying
+    formally self-adjoint operator.
     """
-    if form is None:
-        form = TraceForm.scalar_dirac(b.space)
-    if form.space.dim != b.space.dim:
-        raise ValueError("pairing and subspace live on different trace spaces")
-    paired = form.matrix() @ b.matrix
+    paired = np.tile(_PAIRING, b.space.graph.n_edges)[:, None] * b.matrix
     basis = linalg.null_space(paired.conj().T)
     return BoundarySubspace(b.space, basis)
 
@@ -390,7 +302,7 @@ def adjoint_condition(b: BoundarySubspace, form: TraceForm | None = None) -> Bou
 def index(b: BoundarySubspace) -> int:
     """Fredholm index of the realization with boundary condition ``b``.
 
-    Equals ``dim b`` minus ``r |E|`` regardless of edge lengths or the
+    Equals ``dim b`` minus ``|E|`` regardless of edge lengths or the
     detailed shape of the subspace.
     """
     return b.dim - b.space.edge_dim
@@ -402,19 +314,13 @@ def scalar_kernel_dim(b: BoundarySubspace, rtol: float = linalg.RANK_RTOL) -> in
     Kernel elements are constant on every edge, so the kernel is the
     intersection of ``b`` with the span of constant traces.
     """
-    if b.space.rank != 1:
-        raise ValueError("scalar kernel needs fibre rank 1")
     constants = b.space.constant_trace_matrix()
     return linalg.intersection_dim(constants, b.matrix, rtol)
 
 
-def scalar_cokernel_dim(
-    b: BoundarySubspace,
-    form: TraceForm | None = None,
-    rtol: float = linalg.RANK_RTOL,
-) -> int:
+def scalar_cokernel_dim(b: BoundarySubspace, rtol: float = linalg.RANK_RTOL) -> int:
     """Cokernel dimension, computed as the kernel under the adjoint condition."""
-    return scalar_kernel_dim(adjoint_condition(b, form), rtol)
+    return scalar_kernel_dim(adjoint_condition(b), rtol)
 
 
 @dataclass(frozen=True)
@@ -431,7 +337,6 @@ class WitnessResult:
 
 def self_adjointness_witness(
     b: BoundarySubspace,
-    form: TraceForm | None = None,
     subspace_tol: float = linalg.SUBSPACE_TOL,
 ) -> WitnessResult:
     """Certify a local boundary condition as self-adjoint by an explicit unitary.
@@ -447,10 +352,6 @@ def self_adjointness_witness(
     edge count, or the condition differs from its adjoint condition.
     """
     space = b.space
-    if space.rank != 1:
-        raise ValueError("witness construction needs fibre rank 1")
-    if form is None:
-        form = TraceForm.scalar_dirac(space)
     n = space.graph.n_edges
 
     if local_decomposition(b) is None:
@@ -459,11 +360,11 @@ def self_adjointness_witness(
         return WitnessResult(None, REASON_NOT_EULERIAN)
     if b.dim != n:
         return WitnessResult(None, REASON_DIMENSION)
-    if not b.equals(adjoint_condition(b, form), subspace_tol):
+    if not b.equals(adjoint_condition(b), subspace_tol):
         return WitnessResult(None, REASON_NOT_SELF_ADJOINT)
 
-    ends = np.stack([space.project_end(col) for col in b.matrix.T], axis=1)
-    starts = np.stack([space.project_start(col) for col in b.matrix.T], axis=1)
+    ends = space.project_end(b.matrix)
+    starts = space.project_start(b.matrix)
     q, r = np.linalg.qr(ends)
     # Self-adjointness guarantees the end projections are independent; a
     # failure here means the subspace equality above passed on noise.

@@ -114,20 +114,6 @@ class MultiPoly:
         ids = self.edge_ids[:pos] + self.edge_ids[pos + 1 :]
         return MultiPoly(ids, terms)
 
-    def evaluate_point(self, values) -> complex:
-        """Evaluate at one complex value per edge (in ``edge_ids`` order)."""
-        values = np.asarray(values, dtype=complex)
-        total = 0.0 + 0.0j
-        for mask, c in self.terms.items():
-            prod = c
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                prod *= values[i]
-                m &= m - 1
-            total += prod
-        return complex(total)
-
 
 def char_poly(a: GEndomorphism, cap: int = DEFAULT_EDGE_CAP) -> MultiPoly:
     """Exact expansion of ``det(diag(x) - A)`` as a :class:`MultiPoly`.
@@ -419,11 +405,6 @@ def char_function(a: GEndomorphism, lengths=None, cap: int = DEFAULT_EDGE_CAP) -
     if lengths is None:
         lengths = a.graph.lengths()
     return CharFunction(char_poly(a, cap), lengths)
-
-
-def evaluate(poly: MultiPoly, lengths, lam) -> complex:
-    """Evaluate a characteristic polynomial at ``x_e = exp(i lam l_e)``."""
-    return complex(CharFunction(poly, lengths).eval(lam))
 
 
 def specialize_univariate(poly: MultiPoly, multipliers) -> np.ndarray:

@@ -145,8 +145,11 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(report, args):
-    if args.format == "csv":
+def _report_payload(report, fmt: str):
+    # The pretty format prints the report lines only: build no payload for it.
+    if fmt == "pretty":
+        return None
+    if fmt == "csv":
         return report_to_csv(report)
     return report_to_json(report)
 
@@ -230,7 +233,7 @@ def cmd_spectrum(args) -> int:
 
     for w in report.warnings:
         _warn(w)
-    _emit(_report_payload(report, args), args.format, _report_lines(report, args.format))
+    _emit(_report_payload(report, args.format), args.format, _report_lines(report, args.format))
     return EXIT_OK
 
 
@@ -313,14 +316,16 @@ def cmd_trails(args) -> int:
 
     if args.spectrum:
         report = permutation_spectrum(perm, g.lengths(), Window.real(*args.window))
-        payload = _report_payload(report, args)
+        payload = _report_payload(report, args.format)
         if args.format != "csv":
-            payload["trails"] = [list(t) for t in decomp.trails]
+            extra = {"trails": [list(t) for t in decomp.trails]}
             try:
                 length, count = longest_trail_from_spectrum(report)
-                payload["longest_trail"] = {"length": length, "count": count}
+                extra["longest_trail"] = {"length": length, "count": count}
             except ValueError:
                 _warn("window contains no positive eigenvalue; longest trail omitted")
+            if payload is not None:
+                payload.update(extra)
         _emit(payload, args.format, _report_lines(report, args.format))
         return EXIT_OK
 

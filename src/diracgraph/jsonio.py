@@ -127,7 +127,7 @@ def parse_boundary(data, g: MetricGraph) -> BoundaryInput:
         basis_raw = data.get("basis")
         if not isinstance(basis_raw, list):
             raise InputFormatError("subspace condition needs a 'basis' list")
-        space = TraceSpace(g, 1)
+        space = TraceSpace(g)
         cols = []
         for vec in basis_raw:
             if not isinstance(vec, list) or len(vec) != space.dim:

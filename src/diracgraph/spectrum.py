@@ -754,8 +754,6 @@ def general_eigencondition(
     problem; this function still reports the pointwise count.
     """
     space = b.space
-    if space.rank != 1:
-        raise ValueError("general eigencondition is implemented for fibre rank 1")
     lengths = np.asarray(lengths, dtype=float)
     n = space.graph.n_edges
     decay = np.exp(-1j * lam * lengths)

@@ -1,0 +1,103 @@
+"""Independent re-derivations the tests check the package against.
+
+Each helper computes its answer the slow, direct way and shares no code
+with the routine it checks: term-by-term polynomial evaluation, the secular
+function summed straight from cycle collections, and edge connectivity by
+trying every removal subset.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from diracgraph.graph import DEFAULT_EDGE_CAP, enumerate_cycle_collections
+
+
+def evaluate_point(poly, values) -> complex:
+    """Evaluate a ``MultiPoly`` at one complex value per edge, term by term."""
+    values = np.asarray(values, dtype=complex)
+    total = 0.0 + 0.0j
+    for mask, c in poly.terms.items():
+        prod = c
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            prod *= values[i]
+            m &= m - 1
+        total += prod
+    return complex(total)
+
+
+def adjacency_char_function(g, lam: complex, cap: int = DEFAULT_EDGE_CAP) -> complex:
+    """Secular function of the adjacency map, straight from collections.
+
+    Each collection of total metric length ``L_C`` contributes its sign
+    times ``exp(i lam (L_G - L_C))`` where ``L_G`` is the total graph
+    length.
+    """
+    total = g.total_length
+    acc = 0.0 + 0.0j
+    for coll in enumerate_cycle_collections(g, cap):
+        sign = -1.0 if coll.component_count % 2 else 1.0
+        acc += sign * np.exp(1j * lam * (total - coll.total_length))
+    return complex(acc)
+
+
+def edge_connectivity_bruteforce(g, mode: str = "directed") -> int:
+    """Least number of edge removals that disconnect the graph, by trying all subsets.
+
+    ``mode="directed"`` requires strong connectivity of what remains,
+    ``mode="undirected"`` only connectivity of the underlying undirected
+    graph; a vertex left without any incident edge counts as disconnecting
+    in both modes.  Exponential in the edge count.
+    """
+
+    def connected(remaining: list[int]) -> bool:
+        if not g.vertices:
+            return True
+        incident: dict[str, list[int]] = {v: [] for v in g.vertices}
+        for i in remaining:
+            e = g.edges[i]
+            incident[e.tail].append(i)
+            if e.head != e.tail:
+                incident[e.head].append(i)
+        if any(not lst for lst in incident.values()):
+            return False
+        if len(g.vertices) == 1:
+            return True
+        vset = list(g.vertices)
+        if mode == "undirected":
+            seen = {vset[0]}
+            stack = [vset[0]]
+            while stack:
+                v = stack.pop()
+                for i in incident[v]:
+                    e = g.edges[i]
+                    for w in (e.tail, e.head):
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+            return len(seen) == len(vset)
+        # Strong connectivity: forward and backward reachability from one vertex.
+        for direction in ("fwd", "bwd"):
+            seen = {vset[0]}
+            stack = [vset[0]]
+            while stack:
+                v = stack.pop()
+                for i in remaining:
+                    e = g.edges[i]
+                    src, dst = (e.tail, e.head) if direction == "fwd" else (e.head, e.tail)
+                    if src == v and dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            if len(seen) != len(vset):
+                return False
+        return True
+
+    all_edges = list(range(g.n_edges))
+    for k in range(g.n_edges + 1):
+        for removed in combinations(all_edges, k):
+            remaining = [i for i in all_edges if i not in removed]
+            if not connected(remaining):
+                return k
+    return g.n_edges

@@ -6,10 +6,10 @@ import pytest
 from diracgraph import (
     COSPECTRAL_MATE_COEFFS,
     AdjacencyEndomorphism,
+    CharFunction,
     CoefficientProfile,
     GEndomorphism,
     MultiPoly,
-    adjacency_char_function,
     adjacency_nonsingular,
     bidirected_triangle,
     build_adjacency,
@@ -18,7 +18,6 @@ from diracgraph import (
     directed_cycle,
     edge_connectivity,
     enumerate_cycles,
-    evaluate,
     graph_from_edges,
     looped_dumbbell,
     reduce_vertex,
@@ -28,6 +27,7 @@ from diracgraph import (
 )
 from diracgraph.errors import DiracGraphError, EnumerationCapExceeded
 from diracgraph.randgen import random_eulerian_graph, random_graph
+from oracles import adjacency_char_function, edge_connectivity_bruteforce
 
 
 def brute_cycle_counts(g):
@@ -124,7 +124,7 @@ def test_secular_value_from_collections():
         poly = charpoly_via_collections(g)
         lengths = g.lengths()
         for lam in rng.normal(size=4) + 0.2j * rng.normal(size=4):
-            want = evaluate(poly, lengths, lam)
+            want = complex(CharFunction(poly, lengths).eval(lam))
             assert adjacency_char_function(g, lam) == pytest.approx(
                 want, rel=1e-9, abs=1e-12
             )
@@ -268,6 +268,39 @@ def test_connectivity_of_bidirected_triangle():
 def test_connectivity_guards():
     with pytest.raises(ValueError):
         edge_connectivity(rose(1), mode="sideways")
-    with pytest.raises(EnumerationCapExceeded):
-        edge_connectivity(directed_cycle(2), max_edges=1)
-    assert edge_connectivity(directed_cycle(2), max_edges=1, force=True) == 1
+
+
+def bidirected_cycle(k):
+    return graph_from_edges(
+        [(f"f{i}", f"v{i}", f"v{(i + 1) % k}") for i in range(k)]
+        + [(f"b{i}", f"v{(i + 1) % k}", f"v{i}") for i in range(k)]
+    )
+
+
+def test_connectivity_of_forty_edge_bidirected_cycle():
+    # Far beyond a subset search: 2^40 removal sets.
+    g = bidirected_cycle(20)
+    assert g.n_edges == 40
+    assert edge_connectivity(g, "directed") == 2
+    assert edge_connectivity(g, "undirected") == 4
+
+
+def test_connectivity_matches_brute_force():
+    rng = np.random.default_rng(331)
+    graphs = [rose(n) for n in range(1, 5)]
+    graphs += [directed_cycle(n) for n in range(2, 6)]
+    graphs += [bidirected_triangle(), bidirected_cycle(4), looped_dumbbell()]
+    graphs += [graph_from_edges([("e1", "u", "v")]), graph_from_edges([("e1", "u", "u")])]
+    for i in range(240):
+        # every fourth graph lives on one vertex: loops only
+        graphs.append(random_graph(rng, max_edges=9, max_vertices=1 if i % 4 == 0 else 4))
+    for _ in range(200):
+        graphs.append(random_eulerian_graph(rng, max_edges=9))
+    assert sum(len(g.vertices) == 1 for g in graphs) >= 60
+    assert any(e.tail == e.head for g in graphs for e in g.edges if len(g.vertices) > 1)
+    for g in graphs:
+        for mode in ("directed", "undirected"):
+            assert edge_connectivity(g, mode) == edge_connectivity_bruteforce(g, mode), (
+                mode,
+                [(e.tail, e.head) for e in g.edges],
+            )

@@ -6,9 +6,7 @@ import pytest
 from diracgraph import (
     BoundarySubspace,
     GEndomorphism,
-    TraceForm,
     TraceSpace,
-    TraceVector,
     adjoint_condition,
     directed_cycle,
     endomorphism_from_subspace,
@@ -51,16 +49,18 @@ def test_trace_space_dimensions():
     g = rose(3)
     s = TraceSpace(g)
     assert s.dim == 6 and s.edge_dim == 3
-    s2 = TraceSpace(g, rank=2)
-    assert s2.dim == 12 and s2.edge_dim == 6
 
 
 def test_start_before_end_per_edge():
     s = TraceSpace(directed_cycle(2))
-    assert s.start_slice(0) == slice(0, 1)
-    assert s.end_slice(0) == slice(1, 2)
-    assert s.start_slice(1) == slice(2, 3)
-    assert s.end_slice(1) == slice(3, 4)
+    # edge e owns coordinate 2e (start value) and 2e + 1 (end value)
+    assert np.flatnonzero(s.embed_start([1.0, 0.0])).tolist() == [0]
+    assert np.flatnonzero(s.embed_end([1.0, 0.0])).tolist() == [1]
+    assert np.flatnonzero(s.embed_start([0.0, 1.0])).tolist() == [2]
+    assert np.flatnonzero(s.embed_end([0.0, 1.0])).tolist() == [3]
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    assert s.project_start(t).tolist() == [1.0, 3.0]
+    assert s.project_end(t).tolist() == [2.0, 4.0]
 
 
 def test_embed_project_round_trip():
@@ -102,19 +102,6 @@ def test_constant_trace_matrix():
     assert np.array_equal(m[:, 1], [0, 0, 1, 1])
 
 
-def test_trace_vector_parts():
-    s = TraceSpace(directed_cycle(2))
-    t = TraceVector(s, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert t.start_part("e1") == pytest.approx([1.0])
-    assert t.end_part("e1") == pytest.approx([2.0])
-    assert t.start_part("e2") == pytest.approx([3.0])
-
-
-def test_rank_zero_rejected():
-    with pytest.raises(ValueError):
-        TraceSpace(rose(1), rank=0)
-
-
 # -- boundary subspaces --------------------------------------------------
 
 
@@ -141,10 +128,16 @@ def test_subspace_classmethods_and_equality():
 
 
 def test_scalar_pairing_matrix():
+    # The adjoint condition annihilates b under the pairing diag(-i, +i, ..)
+    # of i d/dx and has the complementary dimension.
     s = TraceSpace(directed_cycle(2))
-    m = TraceForm.scalar_dirac(s).matrix()
-    assert np.array_equal(np.diag(m), [-1j, 1j, -1j, 1j])
-    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+    pairing = np.diag([-1j, 1j, -1j, 1j])
+    rng = np.random.default_rng(17)
+    for dim in range(5):
+        b = random_subspace(s, dim, rng)
+        adj = adjoint_condition(b)
+        assert adj.dim == s.dim - dim
+        assert np.abs(adj.matrix.conj().T @ pairing @ b.matrix).max(initial=0.0) < 1e-12
 
 
 # -- edge maps and their graphs ------------------------------------------

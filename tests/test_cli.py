@@ -314,6 +314,33 @@ def test_trails_spectrum_from_decomposition_file(tmp_path, capsys):
     assert [r[1] for r in res] == [1, 1, 1, 1]
 
 
+def test_pretty_spectrum_builds_no_json_payload(tmp_path, capsys, monkeypatch):
+    import diracgraph.cli as cli
+
+    calls = []
+    original = cli.report_to_json
+
+    def counted(report):
+        calls.append(report)
+        return original(report)
+
+    monkeypatch.setattr(cli, "report_to_json", counted)
+    gp = write_graph(tmp_path, directed_cycle(3))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    perm = write_json(tmp_path, "perm.json", {"trails": [["e1", "e2", "e3"]]})
+    spectrum = ["spectrum", gp, "--bc", bc, "--window", "-1", "7"]
+    trails = ["trails", gp, "--from-permutation", perm, "--spectrum"]
+    for argv in (spectrum, trails + ["--window", "-1", "7"]):
+        rc, out, _ = run(capsys, argv + ["--format", "pretty"])
+        assert rc == EXIT_OK and out.startswith("solver: ")
+    # an empty positive window still warns in the pretty format
+    rc, _, err = run(capsys, trails + ["--window", "-7", "-1", "--format", "pretty"])
+    assert rc == EXIT_OK and "longest trail omitted" in err
+    assert calls == []
+    rc, payload, _ = run_json(capsys, spectrum)
+    assert rc == EXIT_OK and len(calls) == 1
+
+
 def test_trails_from_permutation_map_file(tmp_path, capsys):
     gp = write_graph(tmp_path, rose(2))
     perm = write_json(tmp_path, "perm.json", {"map": {"e1": "e2", "e2": "e1"}})
