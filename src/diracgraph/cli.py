@@ -20,6 +20,7 @@ from .adjacency import (
     CoefficientProfile,
     build_adjacency,
     charpoly_via_collections,
+    edge_connectivity,
     topology_from_coefficients,
 )
 from .boundary import (
@@ -100,6 +101,13 @@ def _load_valid_graph(path):
     return g
 
 
+def _window(bounds) -> Window:
+    """A ``--window`` or ``--rect`` argument; malformed bounds are bad input."""
+    if not (np.all(np.isfinite(bounds)) and np.all(np.less_equal(bounds[::2], bounds[1::2]))):
+        raise InputFormatError(f"window bounds must be finite and ascending: {list(bounds)}")
+    return Window(*bounds)
+
+
 def _resolve_endomorphism(bc, g):
     """Edge map behind a boundary condition, or a refusal."""
     if bc.endomorphism is not None:
@@ -174,8 +182,8 @@ def _report_lines(report, fmt: str):
 def cmd_spectrum(args) -> int:
     g = _load_valid_graph(args.graph)
     bc = load_boundary(args.bc, g)
-    window = Window.real(*args.window)
-    rect = Window.rect(*args.rect) if args.rect else None
+    window = _window(args.window)
+    rect = _window(args.rect) if args.rect else None
 
     if bc.kind == "subspace" and bc.subspace.dim != g.n_edges:
         _warn(
@@ -315,7 +323,7 @@ def cmd_trails(args) -> int:
     decomp = permutation_to_decomposition(perm)
 
     if args.spectrum:
-        report = permutation_spectrum(perm, g.lengths(), Window.real(*args.window))
+        report = permutation_spectrum(perm, g.lengths(), _window(args.window))
         payload = _report_payload(report, args.format)
         if args.format != "csv":
             extra = {"trails": [list(t) for t in decomp.trails]}
@@ -341,7 +349,7 @@ def cmd_topology(args) -> int:
     g = _load_valid_graph(args.graph)
     profile = CoefficientProfile.from_graph(g, cap=args.cap)
     try:
-        report = topology_from_coefficients(profile, args.k_connectivity)
+        report = topology_from_coefficients(profile, edge_connectivity(g, "undirected"))
     except DiracGraphError:
         _warn("graph has no cycles; girth undefined")
         raise
@@ -458,8 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topology", parents=[common],
                        help="girth and cycle counts from the coefficient profile")
     p.add_argument("graph")
-    p.add_argument("--k-connectivity", type=int, default=None,
-                   help="known edge connectivity, unlocks long cycle counts")
     p.add_argument("--cap", **cap)
     p.set_defaults(func=cmd_topology)
 

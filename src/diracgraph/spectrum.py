@@ -12,8 +12,8 @@ practical cases, and each one only proposes candidate zeros:
   function on a real window followed by Newton polishing; the scan works
   on whole arrays (grid values from one blocked product, minima by a mask,
   one Newton iteration over all minima at once),
-* general maps have complex zeros, located by winding numbers over a
-  rectangle with recursive subdivision.
+* general maps have complex zeros, counted and located inside a rectangle
+  by one contour integral (Beyn's method).
 
 All three end in one shared step.  Nearby candidates are grouped (the
 group size is a multiplicity hint), every group is certified by the kernel
@@ -29,9 +29,8 @@ and the kernel vectors double as eigenfunction amplitudes.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +54,12 @@ MAX_EXPECTED_ROOTS = 10**5
 # Rank tests stack at most this many matrices in one SVD call.
 SVD_CHUNK = 64
 
+# Contour panels: QUAD_ORDER Gauss-Legendre nodes, at most MAX_HALVINGS
+# halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.
+QUAD_ORDER = 16
+MAX_HALVINGS = 6
+PANEL_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class Window:
@@ -69,8 +74,8 @@ class Window:
     im_max: float = math.inf
 
     def __post_init__(self):
-        if self.re_min > self.re_max or self.im_min > self.im_max:
-            raise ValueError("empty window")
+        if not (self.re_min <= self.re_max and self.im_min <= self.im_max):
+            raise ValueError("empty window or NaN bound")
 
     @classmethod
     def real(cls, a: float, b: float) -> "Window":
@@ -179,14 +184,6 @@ def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
     return out
 
 
-def _eigenfunctions_from_kernel(lam, lengths, kernel) -> tuple[Eigenfunction, ...]:
-    # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
-    grow = np.exp(1j * lam * lengths)
-    return tuple(
-        Eigenfunction(complex(lam), grow * kernel[:, k]) for k in range(kernel.shape[1])
-    )
-
-
 def _residual(cf: CharFunction, lam):
     """Secular magnitude relative to the coefficient sum, the residual rule."""
     return np.abs(cf.eval(lam)) / (cf.scale or 1.0)
@@ -195,9 +192,10 @@ def _residual(cf: CharFunction, lam):
 def _make_entry(cf, lam, m, kernel, residual) -> EigenvalueEntry | None:
     if m == 0:
         return None
-    return EigenvalueEntry(
-        complex(lam), m, float(residual), _eigenfunctions_from_kernel(lam, cf.lengths, kernel)
-    )
+    # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
+    grow = np.exp(1j * lam * cf.lengths)
+    funcs = tuple(Eigenfunction(complex(lam), grow * kernel[:, k]) for k in range(m))
+    return EigenvalueEntry(complex(lam), m, float(residual), funcs)
 
 
 def _entry(a, cf, lam, rank_rtol=RANK_RTOL) -> EigenvalueEntry | None:
@@ -205,11 +203,11 @@ def _entry(a, cf, lam, rank_rtol=RANK_RTOL) -> EigenvalueEntry | None:
     return _make_entry(cf, lam, m, kernel, _residual(cf, lam) if m else 0.0)
 
 
-def _guarded_newton(value, deriv, z0, mult: int = 1, maxiter: int = 80):
+def _guarded_newton(value, deriv, z0, maxiter: int = 80):
     """Newton iteration that never lets the target magnitude increase.
 
     Inside the evaluation-noise basin of a zero the computed value is junk
-    and a raw step of ``mult*f/f'`` can be enormous; backtracking rejects
+    and a raw step of ``f/f'`` can be enormous; backtracking rejects
     such steps so the iterate parks at the best point reached.  ``z0`` may
     be an array: every point iterates, halves its step (at most 10 times)
     and stops (rejected step, step below ``1e-14`` relative, zero or
@@ -227,7 +225,7 @@ def _guarded_newton(value, deriv, z0, mult: int = 1, maxiter: int = 80):
             if not moving.size:
                 break
             dp = deriv(z[moving])
-            step = mult * fz[moving] / dp
+            step = fz[moving] / dp
             keep = (dp != 0) & np.isfinite(step)
             moving, step = moving[keep], step[keep]
             base = np.abs(fz[moving])
@@ -249,15 +247,13 @@ def _guarded_newton(value, deriv, z0, mult: int = 1, maxiter: int = 80):
     return z if np.ndim(z0) else complex(z[0])
 
 
-def _newton(cf: CharFunction, z0, maxiter: int = 80, mult: int = 1):
-    return _guarded_newton(cf.eval, cf.eval_deriv, z0, mult, maxiter)
+def _newton(cf: CharFunction, z0):
+    return _guarded_newton(cf.eval, cf.eval_deriv, z0)
 
 
 def _polish_mult(cf: CharFunction, z0: complex, mult: int) -> complex:
     """Refine an m-fold zero by solving for the simple zero of the (m-1)-th
     derivative, which is conditioned like an ordinary root there."""
-    if mult <= 1:
-        return _newton(cf, z0)
     return _guarded_newton(
         lambda z: cf.eval_dk(z, mult - 1),
         lambda z: cf.eval_dk(z, mult),
@@ -551,118 +547,127 @@ def spectrum_numeric(
 # -- contour solver for general maps -------------------------------------
 
 
-def _phase_winding(cf: CharFunction, corners: list[complex], floor: float) -> float:
-    """Total argument change of the secular function around a closed polygon.
+def _quadrature(a, lengths, ends: np.ndarray, floor: float):
+    """Nodes, weights, ``T^-1`` and ``tr(T^-1 T')`` for ``T(z) = diag(exp(i
+    z l)) - A`` on the panels ``ends`` (rows: start, end), in stacked calls.
 
-    Sides are first split so that no single exponential term can advance by
-    more than a quarter turn per segment; comparing only segment endpoints
-    would otherwise alias away whole turns on long sides.  Each segment is
-    then refined until consecutive phase jumps stay below a quarter turn; a
-    sample magnitude below ``floor`` aborts with :class:`ContourError`
-    since a zero sits on or near the contour.
+    A zero lies about ``1 / |T^-1 T'|_F`` or more from a node; a panel where
+    that is under a quarter of its length is bisected.  A panel below
+    ``floor`` or a singular ``T`` means a zero on the contour.
     """
-    total = 0.0
-    # arg(e^{i lam L}) moves at rate L along the real direction
-    rate = max(cf.total_length, 1e-9)
-    for s in range(len(corners)):
-        z1, z2 = corners[s], corners[(s + 1) % len(corners)]
-        n = max(1, math.ceil(abs(z2 - z1) * rate / (math.pi / 2)))
-        knots = [z1 + (z2 - z1) * (k / n) for k in range(n + 1)]
-        vals = [complex(cf.eval(z)) for z in knots]
-        stack = [(knots[k], knots[k + 1], vals[k], vals[k + 1], 0) for k in range(n)]
-        while stack:
-            a_, b_, fa, fb, depth = stack.pop()
-            mid = (a_ + b_) / 2
-            fm = complex(cf.eval(mid))
-            if min(abs(fa), abs(fm), abs(fb)) < floor:
+    x, wq = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    n = lengths.size
+    parts = []
+    # overflow far from the real axis is caught below as non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(ends):
+            mid, half = ends.mean(axis=1), (ends[:, 1] - ends[:, 0]) / 2
+            z = mid[:, None] + half[:, None] * x
+            phases = np.exp(1j * z[..., None] * lengths)
+            try:
+                tinv = np.linalg.inv(phases[..., None] * np.eye(n) - a.matrix)
+            except np.linalg.LinAlgError:
+                raise ContourError("zero on the contour") from None
+            dlog = np.einsum("...ee,...e->...", tinv, 1j * lengths * phases)
+            reach = np.linalg.norm(tinv * (lengths * np.abs(phases))[..., None, :], axis=(2, 3))
+            if not np.all(np.isfinite(reach) & np.isfinite(dlog)):
+                raise ContourError("secular function is not finite on the contour")
+            near = np.any(reach * np.abs(half)[:, None] > 2.0, axis=1)
+            if np.any(np.abs(half[near]) < floor):
                 raise ContourError("zero on or near the contour")
-            d1 = cmath.phase(fm / fa)
-            d2 = cmath.phase(fb / fm)
-            # Near a zero the swing concentrates in a short stretch and the
-            # endpoint jump aliases mod 2 pi; the midpoint half-jumps and
-            # the magnitude variation both blow up there, so gate on them.
-            steady = max(abs(fa), abs(fm), abs(fb)) < 8.0 * min(
-                abs(fa), abs(fm), abs(fb)
-            )
-            if abs(d1) < math.pi / 2 and abs(d2) < math.pi / 2 and steady:
-                total += d1 + d2
-                continue
-            if depth >= 48:
-                raise ContourError("phase change does not settle, zero too close")
-            stack.append((mid, b_, fm, fb, depth + 1))
-            stack.append((a_, mid, fa, fm, depth + 1))
-    return total
+            parts.append((z[~near], half[~near, None] * wq, tinv[~near], dlog[~near]))
+            ends, mid = ends[near], mid[near]
+            ends = np.concatenate([np.c_[ends[:, 0], mid], np.c_[mid, ends[:, 1]]])
+    z, w, tinv, dlog = (np.concatenate(p) for p in zip(*parts))
+    return z.ravel(), w.ravel(), tinv.reshape(-1, n, n), dlog.ravel()
 
 
-def _rect_corners(re0, re1, im0, im1) -> list[complex]:
-    return [
-        complex(re0, im0),
-        complex(re1, im0),
-        complex(re1, im1),
-        complex(re0, im1),
-    ]
+def _contour_zeros(a, cf: CharFunction, re0, re1, im0, im1, step=None):
+    """Zero count and zero estimates inside a rectangle by Beyn's method.
+
+    The count ``(1/2 pi i) sum w tr(T^-1 T')`` of zeros of ``det T`` settles
+    as panels of ``h = min(1, 2/L)`` halve.  The moments ``A_p = (1/2 pi i)
+    sum w u^p T^-1``, ``u = (z - c) / rho``, in ``K = count // n + 1``
+    blocks ``H_s = [A_{i+j+s}]`` give the zeros as the eigenvalues of ``U*
+    H_1 V / S``, the SVD of ``H_0`` cut to the count (Beyn 2012).  ``H_0``
+    loses rank when more zeros share a kernel than there are blocks (as
+    commensurable lengths repeat them every period) or crowd the contour;
+    a rectangle longer than ``h`` is then cut in two, at the settled step.
+    """
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    centre, rho = (corners[0] + corners[2]) / 2, abs(corners[2] - corners[0]) / 2
+    h = min(1.0, 2.0 / cf.total_length)
+
+    def integrate(step):
+        ends = []
+        for z1, z2 in zip(corners, corners[1:] + corners[:1]):
+            knots = np.linspace(z1, z2, max(1, math.ceil(abs(z2 - z1) / step)) + 1)
+            ends.append(np.stack([knots[:-1], knots[1:]], axis=1))
+        z, w, tinv, dlog = _quadrature(a, cf.lengths, np.concatenate(ends), PANEL_FLOOR * rho)
+        return float((w @ dlog / (2j * math.pi)).real), z, w, tinv
+
+    settled, step = step is not None, step or h
+    count, z, w, tinv = integrate(step)
+    for _ in range(0 if settled else MAX_HALVINGS):
+        step, previous = step / 2, count
+        count, z, w, tinv = integrate(step)
+        if settled := abs(count - previous) < 1e-2:
+            break
+    if not settled:
+        raise ContourError(f"zero count {count:.3f} does not settle")
+    winding = round(count)
+    if abs(count - winding) > 0.25:
+        raise ContourError(f"winding number {count:.3f} is not close to an integer")
+    if winding <= 0:
+        return 0, np.empty(0, dtype=complex)
+    k = winding // cf.lengths.size + 1
+    coef = (w / (2j * math.pi))[:, None] * ((z - centre) / rho)[:, None] ** np.arange(2 * k)
+    moments = np.tensordot(coef, tinv, axes=(0, 0))
+    h0, h1 = (
+        np.block([[moments[i + j + s] for j in range(k)] for i in range(k)]) for s in (0, 1)
+    )
+    left, sv, right = np.linalg.svd(h0)
+    if sv[winding - 1] <= RANK_RTOL * sv[0] and max(re1 - re0, im1 - im0) > h:
+        # cut off the middle, where symmetric inputs tend to put a zero
+        x, y = re0 + 0.618 * (re1 - re0), im0 + 0.618 * (im1 - im0)
+        parts = [(re0, x, im0, im1), (x, re1, im0, im1)]
+        if re1 - re0 < im1 - im0:
+            parts = [(re0, re1, im0, y), (re0, re1, y, im1)]
+        found = [_contour_zeros(a, cf, *part, step) for part in parts]
+        if sum(c for c, _ in found) != winding:
+            raise ContourError("zero counts of the parts disagree")
+        return winding, np.concatenate([e for _, e in found])
+    left, sv, right = left[:, :winding], sv[:winding], right[:winding].conj().T
+    return winding, centre + rho * np.linalg.eigvals(left.conj().T @ h1 @ right / sv)
 
 
-def _winding_number(cf, re0, re1, im0, im1, floor) -> int:
-    total = _phase_winding(cf, _rect_corners(re0, re1, im0, im1), floor)
-    w = total / (2 * math.pi)
-    if abs(w - round(w)) > 0.25:
-        raise ContourError(f"winding number {w:.3f} is not close to an integer")
-    return int(round(w))
+def _rank_groups(a, lengths, points) -> list[tuple[complex, int]]:
+    """Zero estimates grouped by the rank test, as ``(centroid, size)`` pairs.
 
-
-def _zeros_in_rect(cf, re0, re1, im0, im1, floor, tol, depth=0) -> list[complex]:
-    w = _winding_number(cf, re0, re1, im0, im1, floor)
-    if w == 0:
-        return []
-    size = max(re1 - re0, im1 - im0)
-    center = complex((re0 + re1) / 2, (im0 + im1) / 2)
-    slack = max(10 * tol, 1e-3 * size)
-    if w == 1:
-        z = _newton(cf, center)
-        # Accept only a strictly interior limit: Newton may converge to a
-        # different zero just outside the cell while the counted one is
-        # inside, and any zero actually on the boundary would have tripped
-        # the floor guard already.  It must also pass the residual rule of
-        # the shared step, since a stalled iterate parks anywhere.
-        if re0 <= z.real <= re1 and im0 <= z.imag <= im1 and _residual(cf, z) <= tol:
-            return [z]
-        # Newton escaped the cell or stalled short of the zero; shrink it
-        # further below.
-    if size < 64 * tol or depth >= 40:
-        # Either a multiple zero (the winding never isolates to one) or a
-        # stubborn cell: polish from the center and let the rank test assign
-        # the multiplicity.
-        z = _newton(cf, center, mult=w)
-        if not (re0 - slack <= z.real <= re1 + slack and im0 - slack <= z.imag <= im1 + slack):
-            z = center
-        return [z] * w
-    # Quadrisect, nudging the split lines off any zero they would graze.
-    for fraction in (0.5, 0.43, 0.57, 0.36, 0.64):
-        rm = re0 + fraction * (re1 - re0)
-        im_ = im0 + fraction * (im1 - im0)
-        try:
-            zeros = []
-            for (ra, rb, ia, ib) in (
-                (re0, rm, im0, im_),
-                (rm, re1, im0, im_),
-                (re0, rm, im_, im1),
-                (rm, re1, im_, im1),
-            ):
-                zeros.extend(_zeros_in_rect(cf, ra, rb, ia, ib, floor, tol, depth + 1))
-            return zeros
-        except ContourError:
-            continue
-    # Every split grazes the zero set.  Around an m-fold zero the secular
-    # function dips below the evaluation floor on a whole disk, so once the
-    # cell center is inside that basin subdivision cannot make progress;
-    # report the winding-weighted center and let the rank test refine it.
-    if abs(complex(cf.eval(center))) < 1e3 * floor:
-        z = _newton(cf, center, mult=w)
-        if not (re0 - slack <= z.real <= re1 + slack and im0 - slack <= z.imag <= im1 + slack):
-            z = center
-        return [z] * w
-    raise ContourError("could not separate zeros by subdivision")
+    A defective ``m``-fold zero scatters its estimates by about
+    ``eps**(1/m)``, beyond any fixed radius, so a minimum spanning tree edge
+    joins two estimates when the rank test finds a kernel at its midpoint.
+    Only tree edges: the midpoint of two zeros can be a third, as on lattices.
+    """
+    points = np.asarray(points, dtype=complex)
+    dist = np.abs(np.subtract.outer(points, points))
+    outside = np.ones(len(points), dtype=bool)
+    best, link = np.full(len(points), np.inf), np.zeros(len(points), dtype=int)
+    order, j = [], 0
+    for _ in range(len(points) - 1):
+        outside[j] = False
+        closer = outside & (dist[j] < best)
+        best[closer], link[closer] = dist[j, closer], j
+        j = int(np.argmin(np.where(outside, best, np.inf)))
+        order.append(j)
+    # a point joins the tree after its link, so labels pass down in order
+    label = np.arange(len(points))
+    mids = (points[order] + points[link[order]]) / 2
+    for j, (m, _) in zip(order, _multiplicities(a, lengths, mids)):
+        if m:
+            label[j] = label[link[j]]
+    groups = [label == g for g in np.unique(label)]
+    return [(complex(points[g].mean()), int(g.sum())) for g in groups]
 
 
 def spectrum_complex(
@@ -674,18 +679,19 @@ def spectrum_complex(
 ) -> SpectrumReport:
     """Complex zeros of the secular function inside a rectangle.
 
-    The winding number of the secular function around the rectangle counts
-    the enclosed zeros; recursive subdivision isolates them and Newton
-    iteration polishes each one.  If a zero sits on the contour the
-    rectangle is perturbed slightly and the computation retried, up to five
-    times.  The report's ``winding`` field carries the total count as an
-    independent check on the listed multiplicities.
+    A contour integral of ``(diag(exp(i z l)) - A)^-1`` around the rectangle
+    counts the enclosed zeros and estimates them (Beyn's method); estimates
+    grouped by the rank test hint a multiple zero, single ones are Newton
+    polished.  If a zero sits on the contour the rectangle is widened
+    slightly and retried, up to five times.  The report's ``winding`` field
+    carries the count as a check on the listed multiplicities.
     """
     if rect is None:
         raise ValueError("contour solver needs a rectangle")
     window = rect if isinstance(rect, Window) else Window.rect(*rect)
-    if window.is_real_interval or math.isinf(window.im_min) or math.isinf(window.im_max):
-        raise ValueError("contour solver needs finite imaginary bounds")
+    bounds = (window.re_min, window.re_max, window.im_min, window.im_max)
+    if not all(math.isfinite(b) for b in bounds):
+        raise ValueError("contour solver needs a rectangle with finite bounds")
     cf = char_function(a, lengths)
     warnings: list[str] = []
     if len(cf.poly.terms) <= 1:
@@ -694,45 +700,32 @@ def spectrum_complex(
         )
         return SpectrumReport("contour", window, (), tuple(warnings), winding=0)
 
-    scale = cf.scale or 1.0
-    floor = 1e-13 * scale
-    re0, re1 = window.re_min, window.re_max
-    im0, im1 = window.im_min, window.im_max
-    pad = 0.0
-    zeros: list[complex] | None = None
-    total_winding = 0
+    re0, re1, im0, im1 = bounds
     size = max(re1 - re0, im1 - im0)
+    pad = 0.0
     for attempt in range(5):
         try:
-            total_winding = _winding_number(
-                cf, re0 - pad, re1 + pad, im0 - pad, im1 + pad, floor
-            )
-            zeros = _zeros_in_rect(
-                cf, re0 - pad, re1 + pad, im0 - pad, im1 + pad, floor, residual_tol
-            )
+            box = (re0 - pad, re1 + pad, im0 - pad, im1 + pad)
+            winding, estimates = _contour_zeros(a, cf, *box)
             break
         except ContourError:
             pad = (attempt + 1) * max(residual_tol, 1e-7) * (1.0 + size)
             if attempt == 4:
                 raise
-    assert zeros is not None
     if pad > 0:
         warnings.append(f"contour perturbed outward by {pad:.2e} to avoid a zero")
 
-    # Unresolved cells emit a zero once per unit of winding, so the group
-    # size hints the algebraic multiplicity; polish each group at it.
-    candidates = [
-        (_polish_mult(cf, _newton(cf, z, mult=hint), hint), hint)
-        for z, hint in _group(zeros, DEDUPE_RADIUS)
-    ]
+    # A group's centroid restores the accuracy its scattered estimates lack.
+    groups = _rank_groups(a, cf.lengths, estimates)
+    candidates = [(z if m > 1 else _newton(cf, z), m) for z, m in groups]
     entries = _certified_entries(a, cf, window, candidates, residual_tol, warnings, pad=pad)
     reported = sum(e.multiplicity for e in entries)
-    if reported != total_winding:
+    if reported != winding:
         warnings.append(
-            f"winding number {total_winding} and reported multiplicity sum "
+            f"winding number {winding} and reported multiplicity sum "
             f"{reported} disagree"
         )
-    return SpectrumReport("contour", window, entries, tuple(warnings), winding=total_winding)
+    return SpectrumReport("contour", window, entries, tuple(warnings), winding=winding)
 
 
 # -- boundary conditions beyond graphs of edge maps ----------------------

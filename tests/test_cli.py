@@ -155,6 +155,23 @@ def test_spectrum_routes_contour_for_rect(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--rect", "7", "-1", "-2", "0.5"],
+        ["--window", "nan", "1"],
+        ["--rect", "-1", "inf", "-1", "1"],
+        ["--rect", "-1", "1", "-1", "inf"],
+    ],
+)
+def test_spectrum_malformed_window_is_bad_input(tmp_path, capsys, window):
+    gp = write_graph(tmp_path, rose(1))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    rc, out, err = run(capsys, ["spectrum", gp, "--bc", bc] + window)
+    assert rc == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("input error: ")
+
+
 def test_spectrum_refuses_incommensurable_non_unitary(tmp_path, capsys):
     gp = write_graph(tmp_path, TWO_LOOPS)
     bc = write_json(
@@ -314,6 +331,17 @@ def test_trails_spectrum_from_decomposition_file(tmp_path, capsys):
     assert [r[1] for r in res] == [1, 1, 1, 1]
 
 
+def test_trails_spectrum_empty_window_is_bad_input(tmp_path, capsys):
+    gp = write_graph(tmp_path, directed_cycle(3))
+    perm = write_json(tmp_path, "perm.json", {"trails": [["e1", "e2", "e3"]]})
+    rc, out, err = run(
+        capsys,
+        ["trails", gp, "--from-permutation", perm, "--spectrum", "--window", "5", "1"],
+    )
+    assert rc == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("input error: ")
+
+
 def test_pretty_spectrum_builds_no_json_payload(tmp_path, capsys, monkeypatch):
     import diracgraph.cli as cli
 
@@ -360,18 +388,30 @@ def test_trails_needs_a_mode(tmp_path, capsys):
 
 
 def test_topology_triangle(tmp_path, capsys):
+    # undirected edge connectivity 4 unlocks the cycle counts of lengths 3..6
     gp = write_graph(tmp_path, bidirected_triangle())
-    rc, payload, _ = run_json(
-        capsys, ["topology", gp, "--k-connectivity", "2"]
-    )
+    rc, payload, _ = run_json(capsys, ["topology", gp])
     assert rc == EXIT_OK
     assert payload["girth"] == 2
     assert payload["cycle_counts"] == {"1": 0, "2": 3, "3": 2}
-    assert payload["long_cycle_counts"] == {"5": 0, "6": 0}
+    assert payload["long_cycle_counts"] == {"3": 2, "4": 0, "5": 0, "6": 0}
     assert payload["profile"] == {
         "n": 6,
         "coeffs_low_to_high": [0, 0, 0, -2, -3, 0, 1],
     }
+
+
+def test_topology_computes_the_edge_connectivity(tmp_path, capsys):
+    # loops a at u and b at v, joined by c: u->v and d: v->u; undirected
+    # edge connectivity 2, so only the cycles of lengths 4 and 3 are read off
+    g = graph_from_edges(
+        [("a", "u", "u", 1.0), ("b", "v", "v", 1.0), ("c", "u", "v", 1.0), ("d", "v", "u", 1.0)]
+    )
+    gp = write_graph(tmp_path, g)
+    rc, payload, _ = run_json(capsys, ["topology", gp])
+    assert rc == EXIT_OK
+    assert payload["cycle_counts"] == {"1": 2}
+    assert payload["long_cycle_counts"] == {"3": 0, "4": 0}
 
 
 def test_topology_honours_cap(tmp_path, capsys):
@@ -465,6 +505,7 @@ def test_output_is_deterministic(tmp_path, capsys):
         ["spectrum", "--bc", "bc.json", "--cap", "3"],
         ["trails", "--enumerate", "--cap", "3"],
         ["selfadjoint", "--bc", "bc.json", "--cap", "3"],
+        ["topology", "--k-connectivity", "2"],
     ],
 )
 def test_options_that_would_do_nothing_are_rejected(tmp_path, argv):

@@ -15,7 +15,6 @@ from diracgraph.spectrum import (
     RANK_RTOL,
     _guarded_newton,
     _multiplicities,
-    _zeros_in_rect,
 )
 
 
@@ -89,22 +88,3 @@ def test_scan_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
     assert np.allclose(rep.values(), want, atol=1e-9)
     assert [e.multiplicity for e in rep.eigenvalues] == [6] * len(want)
     assert rep.warnings == ()
-
-
-class StalledNewton:
-    """One zero at 0.3+0.1i whose tiny derivative makes every step overshoot."""
-
-    total_length = 1.0
-    scale = 1.0
-
-    def eval(self, z):
-        return z - (0.3 + 0.1j)
-
-    def eval_deriv(self, z):
-        return 1e-9
-
-
-def test_contour_cell_rejects_stalled_newton_iterate():
-    zeros = _zeros_in_rect(StalledNewton(), 0.0, 1.0, -0.5, 0.5, 1e-13, 1e-10)
-    assert len(zeros) == 1
-    assert abs(zeros[0] - (0.3 + 0.1j)) <= 1e-6

@@ -347,12 +347,81 @@ def test_contour_winding_matches_multiplicity_sum():
     assert not any("disagree" in w for w in rep.warnings)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_contour_defective_zero_is_reported_once(n):
+    # 2 J_n (a Jordan block): an n-fold zero of the secular function at
+    # -i ln 2 with a one-dimensional kernel
+    a = GEndomorphism(rose(n), 2 * (np.eye(n) + np.eye(n, k=1)))
+    rep = spectrum_complex(a, rect=(-1.0, 1.0, -1.5, 0.5))
+    assert rep.winding == n
+    assert len(rep.eigenvalues) == 1
+    assert rep.eigenvalues[0].multiplicity == 1
+    assert rep.eigenvalues[0].value == pytest.approx(-1j * math.log(2.0), abs=1e-8)
+    assert any("disagree" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize(
+    "rect, want",
+    [((-1.0, 7.0, 0.0, 1.0), [0.0, 2 * math.pi]), ((0.0, 1.0, 0.0, 1.0), [0.0])],
+)
+def test_contour_zero_on_a_side_or_corner_perturbs(rect, want):
+    g, a = scaled_identity_rose(1, 1.0)
+    rep = spectrum_complex(a, rect=rect)
+    assert any("perturbed" in w for w in rep.warnings)
+    assert rep.winding == len(want)
+    assert np.allclose(rep.values(), want, atol=1e-9)
+
+
+def test_contour_agrees_with_exact_on_gaussian_roses():
+    # unit lengths make the secular function 2 pi periodic, so rectangles
+    # wider than 2 pi hold zeros sharing one kernel
+    rng = np.random.default_rng(2012)
+    rects = [(-3.0, 3.0, -0.9, 0.6), (-4.2, 4.2, -0.7, 0.5), (-0.5, 13.0, -0.6, 0.5)]
+    checked = 0
+    for k in range(6):
+        n = 8 + k % 3
+        m = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
+        a = GEndomorphism(rose(n), m)
+        rect = Window.rect(*rects[k % 3])
+        exact = spectrum_exact_commensurable(a, [1] * n, 1.0, rect)
+        contour = spectrum_complex(a, rect=rect)
+        assert contour.winding == sum(e.multiplicity for e in exact.eigenvalues)
+        assert len(contour.eigenvalues) == len(exact.eigenvalues)
+        for c, e in zip(contour.eigenvalues, exact.eigenvalues):
+            assert c.value == pytest.approx(e.value, abs=1e-8)
+            assert c.multiplicity == e.multiplicity
+        assert contour.warnings == ()
+        checked += len(exact.eigenvalues)
+    assert checked > 40
+
+
+def test_contour_many_zeros_sharing_one_kernel():
+    # every zero -i ln 2 + 2 pi k of the double loop has the kernel (1, 1)
+    a = GEndomorphism(rose(2), np.ones((2, 2)))
+    rep = spectrum_complex(a, rect=(-1.0, 60.0, -2.0, 0.5))
+    want = [2 * math.pi * k - 1j * math.log(2.0) for k in range(10)]
+    assert rep.winding == 10
+    assert np.allclose(rep.values(), want, atol=1e-9)
+    assert rep.warnings == ()
+
+
 def test_contour_requires_finite_rectangle():
     g, a = scaled_identity_rose(1, 1.0)
     with pytest.raises(ValueError):
         spectrum_complex(a, rect=None)
     with pytest.raises(ValueError):
         spectrum_complex(a, rect=Window.real(-1.0, 1.0))
+
+
+def test_contour_rejects_infinite_and_nan_bounds():
+    g, a = scaled_identity_rose(1, 1.0)
+    for rect in [(-1.0, math.inf, -1.0, 1.0), (-math.inf, 1.0, -1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            spectrum_complex(a, rect=rect)
+    with pytest.raises(ValueError):
+        Window.rect(math.nan, 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        Window.real(0.0, math.nan)
 
 
 def test_contour_empty_rectangle():
