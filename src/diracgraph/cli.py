@@ -73,9 +73,14 @@ EXIT_REFUSAL = 1
 EXIT_BAD_INPUT = 2
 
 # Length ratios are only treated as commensurable up to this denominator;
-# beyond it the specialized polynomial degree would be impractical and the
-# lengths are handled as incommensurable instead.
+# beyond it the lengths are handled as incommensurable (no univariate
+# charpoly, no exact spectrum).
 MAX_DENOMINATOR = 1000
+
+# The exact solver eigensolves the subdivided map of size d = sum m_e, at
+# a cost growing as d**3 (about 5 s at d = 1000 on one core); above this
+# bound a unitary map goes to the scan and any other map is refused.
+MAX_EXACT_DEGREE = 1000
 
 
 def _emit(payload, fmt: str, pretty_lines=None) -> None:
@@ -202,15 +207,21 @@ def cmd_spectrum(args) -> int:
     a = _resolve_endomorphism(bc, g)
     lengths = g.lengths()
     commensurable = detect_commensurable(lengths, max_denominator=MAX_DENOMINATOR)
+    degree = sum(commensurable[0]) if commensurable is not None else None
 
     mode = args.mode
     if mode is None:
         if args.rect is not None:
             mode = "contour"
-        elif commensurable is not None:
+        elif degree is not None and degree <= MAX_EXACT_DEGREE:
             mode = "exact"
         elif is_unitary(a, UNITARY_TOL):
             mode = "scan"
+        elif degree is not None:
+            raise DiracGraphError(
+                f"exact solver degree {degree} exceeds {MAX_EXACT_DEGREE} and the "
+                "edge map is not unitary; pass --contour with --rect"
+            )
         else:
             raise DiracGraphError(
                 "edge map is not unitary and lengths are incommensurable; "
@@ -221,6 +232,11 @@ def cmd_spectrum(args) -> int:
         if commensurable is None:
             raise DiracGraphError(
                 "edge lengths are not commensurable; use --scan or --contour"
+            )
+        if degree > MAX_EXACT_DEGREE:
+            raise DiracGraphError(
+                f"exact solver degree {degree} exceeds {MAX_EXACT_DEGREE}; "
+                "use --scan or --contour"
             )
         mult, delta = commensurable
         report = spectrum_exact_commensurable(
@@ -398,7 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-10,
-                        help="residual / subspace tolerance (default 1e-10)")
+                        help="spectrum: largest residual, the smallest singular "
+                             "value of diag(exp(i lambda l)) - A relative to its "
+                             "scale; selfadjoint: subspace tolerance "
+                             "(default 1e-10)")
     common.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="json", help="output format (default json)")
     # only the commands that run an exponential enumeration take --cap

@@ -1,30 +1,32 @@
 """Eigenvalue solvers for boundary conditions given by edge maps.
 
 The point spectrum of the realization attached to the graph of an edge map
-``A`` consists of the zeros of the secular function
-``P_A(exp(i lambda l_1), .., exp(i lambda l_n))``.  Three solvers cover the
-practical cases, and each one only proposes candidate zeros:
+``A`` consists of the zeros of ``det T(lambda)``, ``T(lambda) =
+diag(exp(i lambda l)) - A``, the secular function ``P_A(exp(i lambda l_1),
+.., exp(i lambda l_n))``.  Three solvers cover the practical cases, and each
+one only proposes candidate zeros:
 
-* commensurable lengths reduce the secular function to an ordinary
-  polynomial in ``z = exp(i lambda delta)``; its nonzero roots generate
-  periodic eigenvalue families (exact route),
+* commensurable lengths make ``z = exp(i lambda delta)`` an eigenvalue of
+  the subdivided edge map; its nonzero eigenvalues generate periodic
+  eigenvalue families (exact route),
 * unitary maps have real spectrum, found by a grid scan of the secular
-  function on a real window followed by Newton polishing; the scan works
-  on whole arrays (grid values from one blocked product, minima by a mask,
-  one Newton iteration over all minima at once),
+  function on a real window followed by Newton polishing; the scan, the
+  one solver that expands ``P_A``, works on whole arrays (grid values from
+  one blocked product, minima by a mask, one array Newton iteration),
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
 All three end in one shared step.  Nearby candidates are grouped (the
 group size is a multiplicity hint), every group is certified by the kernel
-dimension of ``diag(exp(i lambda l)) - A`` via SVD (one stacked call for
-the strict test of all candidates), escalating through derivative polishes
-for multiple zeros, and the certified values go through
-the same rules: a window with slack ``DEDUPE_RADIUS`` (plus any contour
-padding), a residual above the tolerance drops the entry with a warning, a
-rank rejection is always warned, and values within ``DEDUPE_RADIUS`` of each
-other are reported once.  Multiplicities never come from root clustering,
-and the kernel vectors double as eigenfunction amplitudes.
+dimension of ``T(lambda)`` via SVD (one stacked call for the strict test of
+all candidates), escalating through Newton polishes on ``det T`` for
+multiple zeros, and the certified values go through the same rules: a
+window with slack ``DEDUPE_RADIUS`` (plus any contour padding), a residual
+(smallest singular value of ``T``) above the tolerance drops the entry with
+a warning, rank rejections and hints above the kernel dimension (defective
+zeros) are warned, and values within ``DEDUPE_RADIUS`` of each other are
+reported once.  Multiplicities never come from root clustering, and the
+kernel vectors double as eigenfunction amplitudes.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySubspace, GEndomorphism, is_unitary
-from .charpoly import CharFunction, char_function, char_poly, specialize_univariate
+from .charpoly import char_function
 from .errors import ContourError, DiracGraphError, WindowTooLargeError
 from . import linalg
 
-# Default tolerances: residuals are relative to the coefficient sum of the
-# secular function, rank decisions are relative SVD cutoffs, nearby roots
-# merge within the dedupe radius, and maps count as unitary up to
-# UNITARY_TOL.
+# Default tolerances: residuals are the smallest singular value of T relative
+# to the operand scale of the rank test, rank decisions are relative SVD
+# cutoffs against the same scale, nearby roots merge within the dedupe
+# radius, and maps count as unitary up to UNITARY_TOL.
 RESIDUAL_TOL = 1e-10
 RANK_RTOL = 1e-8
 DEDUPE_RADIUS = 1e-7
@@ -137,6 +139,13 @@ def _sorted_entries(entries) -> tuple[EigenvalueEntry, ...]:
     return tuple(sorted(entries, key=lambda e: (e.value.real, e.value.imag)))
 
 
+def _t_matrices(a, lengths, lams):
+    """``T(lam) = diag(exp(i lam l)) - A`` stacked over the points ``lams``,
+    with the phases ``exp(i lam l)``."""
+    phases = np.exp(1j * np.multiply.outer(lams, lengths))
+    return phases[..., None] * np.eye(lengths.size) - a.matrix, phases
+
+
 def multiplicity(
     a: GEndomorphism,
     lengths,
@@ -149,27 +158,22 @@ def multiplicity(
     (columns).  The kernel vectors are the edge values of eigenfunctions at
     the edge ends; zero dimension means ``lam`` is not an eigenvalue.
     """
-    return _multiplicities(a, lengths, [lam], rank_rtol)[0]
+    return _multiplicities(a, lengths, [lam], rank_rtol)[0][:2]
 
 
 def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
-    """:func:`multiplicity` at every point of ``lams``, by stacked SVDs.
+    """:func:`multiplicity` at every point of ``lams``, by stacked SVDs, plus
+    the residual: the smallest singular value relative to the operand scale.
 
-    The matrices go to LAPACK ``SVD_CHUNK`` at a time, which bounds the
-    stack; the decisions are those of :func:`multiplicity` point by point.
+    The matrices go to LAPACK ``SVD_CHUNK`` at a time, which bounds the stack.
     """
     lengths = np.asarray(lengths, dtype=float)
     lams = np.asarray(lams, dtype=complex).ravel()
-    n = lengths.size
-    diag = np.arange(n)
     norm_a = float(np.linalg.norm(a.matrix))
     out = []
     for s in range(0, lams.size, SVD_CHUNK):
-        phases = np.exp(1j * np.multiply.outer(lams[s : s + SVD_CHUNK], lengths))
-        m = np.zeros((len(phases), n, n), dtype=complex)
-        m[:, diag, diag] = phases
-        m -= a.matrix
-        _, sv, vh = np.linalg.svd(m)
+        t, phases = _t_matrices(a, lengths, lams[s : s + SVD_CHUNK])
+        _, sv, vh = np.linalg.svd(t)
         # Threshold against the operand scale, not s[0]: at an eigenvalue of
         # a diagonal map the whole difference is tiny and every singular
         # value would look nonzero relative to the largest.
@@ -180,27 +184,21 @@ def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
         ranks = np.count_nonzero(sv > rank_rtol * scale[:, None], axis=1)
         for k, rank in enumerate(ranks):
             kernel = vh[k, rank:].conj().T
-            out.append((kernel.shape[1], kernel))
+            out.append((kernel.shape[1], kernel, float(sv[k, -1] / scale[k])))
     return out
 
 
-def _residual(cf: CharFunction, lam):
-    """Secular magnitude relative to the coefficient sum, the residual rule."""
-    return np.abs(cf.eval(lam)) / (cf.scale or 1.0)
-
-
-def _make_entry(cf, lam, m, kernel, residual) -> EigenvalueEntry | None:
+def _make_entry(lengths, lam, m, kernel, residual) -> EigenvalueEntry | None:
     if m == 0:
         return None
     # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
-    grow = np.exp(1j * lam * cf.lengths)
+    grow = np.exp(1j * lam * lengths)
     funcs = tuple(Eigenfunction(complex(lam), grow * kernel[:, k]) for k in range(m))
-    return EigenvalueEntry(complex(lam), m, float(residual), funcs)
+    return EigenvalueEntry(complex(lam), m, residual, funcs)
 
 
-def _entry(a, cf, lam, rank_rtol=RANK_RTOL) -> EigenvalueEntry | None:
-    m, kernel = multiplicity(a, cf.lengths, lam, rank_rtol)
-    return _make_entry(cf, lam, m, kernel, _residual(cf, lam) if m else 0.0)
+def _entry(a, lengths, lam) -> EigenvalueEntry | None:
+    return _make_entry(lengths, lam, *_multiplicities(a, lengths, [lam])[0])
 
 
 def _guarded_newton(value, deriv, z0, maxiter: int = 80):
@@ -247,18 +245,27 @@ def _guarded_newton(value, deriv, z0, maxiter: int = 80):
     return z if np.ndim(z0) else complex(z[0])
 
 
-def _newton(cf: CharFunction, z0):
-    return _guarded_newton(cf.eval, cf.eval_deriv, z0)
+def _polish(a, lengths, z0, mult: int = 1):
+    """Guarded Newton on ``det T`` with the step ``mult det T / (det T)'``,
+    quadratic at a zero of multiplicity ``mult``; ``z0`` may be an array.
 
+    ``(det T)' = sum_e i l_e exp(i lam l_e) adj(T)_ee`` takes the adjugate
+    from the SVD ``T = U S V*`` as ``det(U) det(V*) V adj(S) U*``, where
+    ``adj(S)_ii`` is the product of the other singular values: it stays
+    finite where ``T`` is exactly singular (Guettel & Tisseur, Acta Numerica
+    26 (2017), section 4).
+    """
+    others = ~np.eye(lengths.size, dtype=bool)
 
-def _polish_mult(cf: CharFunction, z0: complex, mult: int) -> complex:
-    """Refine an m-fold zero by solving for the simple zero of the (m-1)-th
-    derivative, which is conditioned like an ordinary root there."""
-    return _guarded_newton(
-        lambda z: cf.eval_dk(z, mult - 1),
-        lambda z: cf.eval_dk(z, mult),
-        z0,
-    )
+    def deriv(z):
+        t, phases = _t_matrices(a, lengths, z)
+        u, s, vh = np.linalg.svd(t)
+        adj_s = np.prod(np.where(others, s[..., None, :], 1.0), axis=-1)
+        adj = np.einsum("...ie,...i,...ei->...e", vh.conj(), adj_s, u.conj())
+        adj *= (np.linalg.det(u) * np.linalg.det(vh))[..., None]
+        return np.sum(1j * lengths * phases * adj, axis=-1) / mult
+
+    return _guarded_newton(lambda z: np.linalg.det(_t_matrices(a, lengths, z)[0]), deriv, z0)
 
 
 def _group(points, radius: float) -> list[tuple[complex, int]]:
@@ -294,62 +301,42 @@ def _group(points, radius: float) -> list[tuple[complex, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups.values()]
 
 
-def _certify(a, cf, lam, hint: int, real_axis: bool, warnings: list[str], entry):
+def _certify(a, lengths, lam, hint: int, real_axis: bool, entry):
     """Escalate a candidate the strict rank test rejected or found multiple.
 
     ``entry`` is the strict test's outcome at ``lam`` (``None`` when it
-    found no kernel).  Values of the secular function locate an ``m``-fold
-    zero only to about ``eps**(1/m)``, far too coarse for the rank test, so
-    on rejection the candidate is re-polished as an assumed multiple zero of
-    increasing order, starting at ``max(2, hint)``, until some multiplicity
-    certifies.  A certified multiple zero is then re-polished once more at
-    its actual multiplicity, pinning the value to machine accuracy.  As a
-    last resort a candidate hinted at ``hint > 1`` zeros is tested with the
-    rank tolerance loosened to its location accuracy, with a warning, rather
-    than dropping a zero the strict test cannot see.  ``real_axis``
-    restricts to real candidates (unitary maps have real spectrum; a polish
-    drifting off the axis is discarded).
+    found no kernel).  A rejected candidate is polished by Newton on ``det
+    T`` as an assumed zero of increasing order, starting at ``max(2,
+    hint)``, until some multiplicity certifies.  A certified multiple zero
+    is then polished once more at its kernel dimension, pinning the value
+    to machine accuracy.  ``real_axis`` restricts to real candidates
+    (unitary maps have real spectrum; a polish drifting off the axis is
+    discarded).
     """
 
-    def snap(z: complex) -> complex | None:
-        if not real_axis:
-            return z
-        if abs(z.imag) > 1e-6:
-            return None
-        return complex(z.real)
+    def polish(z: complex, m: int) -> complex | None:
+        z = _polish(a, lengths, z, m)
+        if real_axis:
+            z = complex(z.real) if abs(z.imag) <= 1e-6 else None
+        return z
 
-    lam = complex(lam)
-    hinted = lam
     if entry is None:
         for m in range(max(2, hint), a.n_edges + 1):
-            z = snap(_polish_mult(cf, lam, m))
-            if z is None:
-                continue
-            if m == hint:
-                hinted = z
-            entry = _entry(a, cf, z)
-            if entry is not None:
+            z = polish(complex(lam), m)
+            if z is not None and (entry := _entry(a, lengths, z)) is not None:
                 break
     if entry is not None and entry.multiplicity > 1:
-        z = snap(_polish_mult(cf, entry.value, entry.multiplicity))
+        z = polish(entry.value, entry.multiplicity)
         if z is not None:
-            better = _entry(a, cf, z)
+            better = _entry(a, lengths, z)
             if better is not None and better.multiplicity == entry.multiplicity:
                 entry = better
-    if entry is None and hint > 1:
-        loose = max(RANK_RTOL, 20.0 * float(np.finfo(float).eps) ** (1.0 / hint))
-        entry = _entry(a, cf, hinted, loose)
-        if entry is not None:
-            warnings.append(
-                f"rank tolerance loosened to {loose:.1e} at {hinted:.6g} "
-                f"(multiplicity hint {hint})"
-            )
     return entry
 
 
 def _certified_entries(
     a,
-    cf: CharFunction,
+    lengths,
     window: Window,
     candidates,
     residual_tol: float,
@@ -367,10 +354,11 @@ def _certified_entries(
     DEDUPE_RADIUS``.  Every candidate gets the strict rank test in one
     stacked call; only those it rejects or finds multiple go through
     :func:`_certify`.  A rank rejection and a residual above
-    ``residual_tol`` are warned and the candidate dropped.  Certified values
-    within ``DEDUPE_RADIUS`` of a kept one are collapsed into it in a single
-    sorted pass: scattered roots of one zero, or neighbouring grid minima in
-    its flat noise basin, can all certify to the same eigenvalue.
+    ``residual_tol`` are warned and the candidate dropped; a hint above the
+    certified kernel dimension is warned as a defective zero.  Certified
+    values within ``DEDUPE_RADIUS`` of a kept one are collapsed into it in
+    a single sorted pass: scattered roots of one zero, or neighbouring grid
+    minima in its flat noise basin, can all certify to the same eigenvalue.
     """
     slack = pad + DEDUPE_RADIUS
     tried = [
@@ -380,12 +368,12 @@ def _certified_entries(
         if window.contains(lam, slack)
     ]
     points = np.array([lam for lam, _, _ in tried], dtype=complex)
-    strict = zip(_multiplicities(a, cf.lengths, points), _residual(cf, points))
+    strict = _multiplicities(a, lengths, points)
     entries = []
-    for (lam, hint, loud), ((m, kernel), residual) in zip(tried, strict):
-        entry = _make_entry(cf, lam, m, kernel, residual)
+    for (lam, hint, loud), found in zip(tried, strict):
+        entry = _make_entry(lengths, lam, *found)
         if entry is None or entry.multiplicity > 1:
-            entry = _certify(a, cf, lam, hint, real_axis, warnings, entry)
+            entry = _certify(a, lengths, lam, hint, real_axis, entry)
         if entry is None:
             if loud:
                 warnings.append(f"candidate {lam:.6g} rejected by rank check")
@@ -397,6 +385,11 @@ def _certified_entries(
                 f"candidate {entry.value:.6g} dropped: residual {entry.residual:.2e}"
             )
             continue
+        if hint > entry.multiplicity:
+            warnings.append(
+                f"defective zero at {entry.value:.6g}: multiplicity hint {hint}, "
+                f"kernel dimension {entry.multiplicity}"
+            )
         entries.append(entry)
     unique: list[EigenvalueEntry] = []
     for entry in _sorted_entries(entries):
@@ -406,6 +399,23 @@ def _certified_entries(
 
 
 # -- exact solver for commensurable lengths ------------------------------
+
+
+def _subdivided_map(matrix, mult) -> np.ndarray:
+    """Edge map after cutting edge ``e`` into ``mult[e]`` unit pieces.
+
+    A piece passes its value on to the next piece of its edge; the first
+    piece of edge ``e`` receives ``A[e, f]`` times the value leaving the
+    last piece of ``f`` (the bond map of Kottos & Smilansky, Ann. Phys. 274
+    (1999), on the subdivided graph).  Its characteristic polynomial is
+    ``det(zI - B) = P_A(z^{m_1}, .., z^{m_n})``.
+    """
+    last = np.cumsum(mult) - 1
+    first = last - np.asarray(mult) + 1
+    b = np.eye(last[-1] + 1, k=-1, dtype=complex)
+    b[first] = 0.0
+    b[np.ix_(first, last)] = matrix
+    return b
 
 
 def spectrum_exact_commensurable(
@@ -418,13 +428,13 @@ def spectrum_exact_commensurable(
 ) -> SpectrumReport:
     """Spectrum for edge lengths ``l_e = m_e * delta`` with integer ``m_e``.
 
-    Substituting ``z = exp(i lambda delta)`` turns the secular function into
-    the polynomial ``Q(z) = P_A(z^{m_1}, .., z^{m_n})``.  Nonzero roots are
-    found once by a companion matrix eigensolver; roots at ``z = 0``
-    correspond to no eigenvalue and are discarded.  Each root ``z`` with
-    argument ``phi`` in ``[0, 2 pi)`` and modulus ``exp(alpha)`` yields the
-    eigenvalue family ``(phi + 2 pi k - i alpha) / delta`` over all integers
-    ``k``; the report lists the members inside the window.
+    Substituting ``z = exp(i lambda delta)`` turns ``det T(lambda)`` into
+    ``det(zI - B)`` for the ``d x d`` subdivided map ``B``, ``d = sum m_e``,
+    so its nonzero eigenvalues are the roots, found by one eigensolve; zero
+    eigenvalues correspond to no eigenvalue and are discarded.  Each root
+    ``z`` with argument ``phi`` in ``[0, 2 pi)`` and modulus ``exp(alpha)``
+    yields the eigenvalue family ``(phi + 2 pi k - i alpha) / delta`` over
+    all integers ``k``; the report lists the members inside the window.
     """
     window = as_window(window)
     if delta <= 0:
@@ -435,34 +445,33 @@ def spectrum_exact_commensurable(
         mult = [int(m) for m in multipliers]
     if any(m <= 0 for m in mult):
         raise ValueError("multipliers must be positive integers")
-    poly = char_poly(a)
-    coeffs = specialize_univariate(poly, mult)
-    if not np.any(coeffs):
-        raise DiracGraphError("secular polynomial is identically zero")
-    cf = CharFunction(poly, np.array(mult, dtype=float) * delta)
+    lengths = np.array(mult, dtype=float) * delta
 
+    roots = np.linalg.eigvals(_subdivided_map(a.matrix, mult))
+    groups = _group(roots, min(1e-5, math.pi / (4 * sum(mult))))
+    # Where every exp(i lambda l_e) lies under the rank tolerance, T equals
+    # -A to within it and the rank test certifies any point of a singular
+    # A: the zero eigenvalues of B (A singular) scatter into that disc.
+    centres = np.abs([z for z, _ in groups])
+    with np.errstate(over="ignore"):
+        reach = np.max(centres[:, None] ** np.array(mult), axis=1)
+    groups = [g for g, r in zip(groups, reach) if r > RANK_RTOL * np.linalg.norm(a.matrix)]
     warnings: list[str] = []
-    low = int(np.argmax(np.abs(coeffs) > 0))
-    trimmed = coeffs[low:]
-    candidates: list[tuple[complex, int]] = []
-    if trimmed.size <= 1:
+    if not groups:
         warnings.append(
             "secular polynomial is a single monomial; the map is singular and "
             "the spectrum in any window is empty"
         )
-    else:
-        roots = np.polynomial.polynomial.polyroots(trimmed)
-        roots = roots[np.abs(roots) > 1e-12]
-        radius = min(1e-5, math.pi / (4 * max(1, len(trimmed))))
-        period = 2 * math.pi / delta
-        for z0, size in _group(roots, radius):
-            phi = math.atan2(z0.imag, z0.real) % (2 * math.pi)
-            alpha = math.log(abs(z0))
-            base = (phi - 1j * alpha) / delta
-            k_lo = math.ceil((window.re_min - base.real) / period - 1e-12)
-            k_hi = math.floor((window.re_max - base.real) / period + 1e-12)
-            candidates.extend((base + k * period, size) for k in range(k_lo, k_hi + 1))
-    entries = _certified_entries(a, cf, window, candidates, residual_tol, warnings)
+    period = 2 * math.pi / delta
+    candidates: list[tuple[complex, int]] = []
+    for z0, size in groups:
+        phi = math.atan2(z0.imag, z0.real) % (2 * math.pi)
+        alpha = math.log(abs(z0))
+        base = (phi - 1j * alpha) / delta
+        k_lo = math.ceil((window.re_min - base.real) / period - 1e-12)
+        k_hi = math.floor((window.re_max - base.real) / period + 1e-12)
+        candidates.extend((base + k * period, size) for k in range(k_lo, k_hi + 1))
+    entries = _certified_entries(a, lengths, window, candidates, residual_tol, warnings)
     return SpectrumReport("exact-commensurable", window, entries, tuple(warnings))
 
 
@@ -507,13 +516,6 @@ def spectrum_numeric(
         )
 
     warnings: list[str] = []
-    if len(cf.poly.terms) <= 1:
-        warnings.append(
-            "secular function is a single exponential with no zeros; "
-            "empty spectrum (singular map)"
-        )
-        return SpectrumReport("scan", window, (), tuple(warnings))
-
     step = min(0.01, math.pi / (4 * total)) if total > 0 else 0.01
     n_steps = max(2, int(math.ceil(width / step)) + 1)
     spacing = width / (n_steps - 1)
@@ -527,7 +529,7 @@ def spectrum_numeric(
     is_min = (vals <= padded[:-2]) & (vals <= padded[2:]) & (vals < threshold)
     minima = window.re_min + spacing * np.flatnonzero(is_min)
 
-    limits = _newton(cf, minima)
+    limits = _guarded_newton(cf.eval, cf.eval_deriv, minima)
     # A unitary spectrum is real, but inside the noise plateau of an m-fold
     # zero the Newton limit drifts off axis by about eps**(1/m); gate
     # generously.  When even that gate fails (every limit from the plateau
@@ -539,7 +541,7 @@ def spectrum_numeric(
     candidates = [(x, 1) for x, _ in _group(limits.real[on_axis], DEDUPE_RADIUS)]
     stalled = [(x, 1) for x in minima[~on_axis]]
     entries = _certified_entries(
-        a, cf, window, candidates, residual_tol, warnings, real_axis=True, quiet=stalled
+        a, cf.lengths, window, candidates, residual_tol, warnings, real_axis=True, quiet=stalled
     )
     return SpectrumReport("scan", window, entries, tuple(warnings))
 
@@ -563,9 +565,9 @@ def _quadrature(a, lengths, ends: np.ndarray, floor: float):
         while len(ends):
             mid, half = ends.mean(axis=1), (ends[:, 1] - ends[:, 0]) / 2
             z = mid[:, None] + half[:, None] * x
-            phases = np.exp(1j * z[..., None] * lengths)
+            t, phases = _t_matrices(a, lengths, z)
             try:
-                tinv = np.linalg.inv(phases[..., None] * np.eye(n) - a.matrix)
+                tinv = np.linalg.inv(t)
             except np.linalg.LinAlgError:
                 raise ContourError("zero on the contour") from None
             dlog = np.einsum("...ee,...e->...", tinv, 1j * lengths * phases)
@@ -582,7 +584,7 @@ def _quadrature(a, lengths, ends: np.ndarray, floor: float):
     return z.ravel(), w.ravel(), tinv.reshape(-1, n, n), dlog.ravel()
 
 
-def _contour_zeros(a, cf: CharFunction, re0, re1, im0, im1, step=None):
+def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
     """Zero count and zero estimates inside a rectangle by Beyn's method.
 
     The count ``(1/2 pi i) sum w tr(T^-1 T')`` of zeros of ``det T`` settles
@@ -596,14 +598,14 @@ def _contour_zeros(a, cf: CharFunction, re0, re1, im0, im1, step=None):
     """
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
     centre, rho = (corners[0] + corners[2]) / 2, abs(corners[2] - corners[0]) / 2
-    h = min(1.0, 2.0 / cf.total_length)
+    h = min(1.0, 2.0 / lengths.sum())
 
     def integrate(step):
         ends = []
         for z1, z2 in zip(corners, corners[1:] + corners[:1]):
             knots = np.linspace(z1, z2, max(1, math.ceil(abs(z2 - z1) / step)) + 1)
             ends.append(np.stack([knots[:-1], knots[1:]], axis=1))
-        z, w, tinv, dlog = _quadrature(a, cf.lengths, np.concatenate(ends), PANEL_FLOOR * rho)
+        z, w, tinv, dlog = _quadrature(a, lengths, np.concatenate(ends), PANEL_FLOOR * rho)
         return float((w @ dlog / (2j * math.pi)).real), z, w, tinv
 
     settled, step = step is not None, step or h
@@ -620,7 +622,7 @@ def _contour_zeros(a, cf: CharFunction, re0, re1, im0, im1, step=None):
         raise ContourError(f"winding number {count:.3f} is not close to an integer")
     if winding <= 0:
         return 0, np.empty(0, dtype=complex)
-    k = winding // cf.lengths.size + 1
+    k = winding // lengths.size + 1
     coef = (w / (2j * math.pi))[:, None] * ((z - centre) / rho)[:, None] ** np.arange(2 * k)
     moments = np.tensordot(coef, tinv, axes=(0, 0))
     h0, h1 = (
@@ -633,7 +635,7 @@ def _contour_zeros(a, cf: CharFunction, re0, re1, im0, im1, step=None):
         parts = [(re0, x, im0, im1), (x, re1, im0, im1)]
         if re1 - re0 < im1 - im0:
             parts = [(re0, re1, im0, y), (re0, re1, y, im1)]
-        found = [_contour_zeros(a, cf, *part, step) for part in parts]
+        found = [_contour_zeros(a, lengths, *part, step) for part in parts]
         if sum(c for c, _ in found) != winding:
             raise ContourError("zero counts of the parts disagree")
         return winding, np.concatenate([e for _, e in found])
@@ -663,7 +665,7 @@ def _rank_groups(a, lengths, points) -> list[tuple[complex, int]]:
     # a point joins the tree after its link, so labels pass down in order
     label = np.arange(len(points))
     mids = (points[order] + points[link[order]]) / 2
-    for j, (m, _) in zip(order, _multiplicities(a, lengths, mids)):
+    for j, (m, _, _) in zip(order, _multiplicities(a, lengths, mids)):
         if m:
             label[j] = label[link[j]]
     groups = [label == g for g in np.unique(label)]
@@ -681,8 +683,8 @@ def spectrum_complex(
 
     A contour integral of ``(diag(exp(i z l)) - A)^-1`` around the rectangle
     counts the enclosed zeros and estimates them (Beyn's method); estimates
-    grouped by the rank test hint a multiple zero, single ones are Newton
-    polished.  If a zero sits on the contour the rectangle is widened
+    grouped by the rank test hint a multiple zero, single ones are polished
+    by Newton on ``det T``.  If a zero sits on the contour the rectangle is widened
     slightly and retried, up to five times.  The report's ``winding`` field
     carries the count as a check on the listed multiplicities.
     """
@@ -692,21 +694,15 @@ def spectrum_complex(
     bounds = (window.re_min, window.re_max, window.im_min, window.im_max)
     if not all(math.isfinite(b) for b in bounds):
         raise ValueError("contour solver needs a rectangle with finite bounds")
-    cf = char_function(a, lengths)
+    lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
     warnings: list[str] = []
-    if len(cf.poly.terms) <= 1:
-        warnings.append(
-            "secular function is a single exponential with no zeros; empty spectrum"
-        )
-        return SpectrumReport("contour", window, (), tuple(warnings), winding=0)
-
     re0, re1, im0, im1 = bounds
     size = max(re1 - re0, im1 - im0)
     pad = 0.0
     for attempt in range(5):
         try:
             box = (re0 - pad, re1 + pad, im0 - pad, im1 + pad)
-            winding, estimates = _contour_zeros(a, cf, *box)
+            winding, estimates = _contour_zeros(a, lengths, *box)
             break
         except ContourError:
             pad = (attempt + 1) * max(residual_tol, 1e-7) * (1.0 + size)
@@ -716,9 +712,9 @@ def spectrum_complex(
         warnings.append(f"contour perturbed outward by {pad:.2e} to avoid a zero")
 
     # A group's centroid restores the accuracy its scattered estimates lack.
-    groups = _rank_groups(a, cf.lengths, estimates)
-    candidates = [(z if m > 1 else _newton(cf, z), m) for z, m in groups]
-    entries = _certified_entries(a, cf, window, candidates, residual_tol, warnings, pad=pad)
+    groups = _rank_groups(a, lengths, estimates)
+    candidates = [(z if m > 1 else _polish(a, lengths, z), m) for z, m in groups]
+    entries = _certified_entries(a, lengths, window, candidates, residual_tol, warnings, pad=pad)
     reported = sum(e.multiplicity for e in entries)
     if reported != winding:
         warnings.append(

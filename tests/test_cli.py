@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,52 @@ def test_spectrum_near_commensurable_lengths_fall_back_to_scan(tmp_path, capsys)
     )
     assert rc == EXIT_OK
     assert payload["solver"] == "scan"
+
+
+def write_cycle_permutation(tmp_path, lengths):
+    """Directed cycle with the given lengths and the cycle permutation."""
+    n = len(lengths)
+    gp = write_graph(tmp_path, directed_cycle(n, lengths))
+    cycle = {f"e{i + 1}": f"e{(i + 1) % n + 1}" for i in range(n)}
+    bc = write_json(tmp_path, "bc.json", {"type": "permutation", "map": cycle})
+    return gp, bc
+
+
+def test_spectrum_routes_large_degree_to_the_scan(tmp_path, capsys):
+    # lengths (1, 1 + 1/997, 1.5) are commensurable with d = sum m_e = 6981,
+    # past the exact solver's degree bound: a unitary map goes to the scan
+    gp, bc = write_cycle_permutation(tmp_path, [1.0, 1.0 + 1 / 997, 1.5])
+    start = time.perf_counter()
+    rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_OK and payload["solver"] == "scan"
+    rc, forced, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--scan"])
+    assert payload == forced
+    rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc, "--exact"])
+    assert rc == EXIT_REFUSAL
+    assert "--scan" in err and "--contour" in err
+
+
+def test_spectrum_refuses_large_degree_for_non_unitary_map(tmp_path, capsys):
+    g = directed_cycle(3, [1.0, 1.0 + 1 / 997, 1.5])
+    gp = write_graph(tmp_path, g)
+    m = 2.0 * np.roll(np.eye(3), 1, axis=0)
+    bc = write_json(tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, m)))
+    rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc])
+    assert rc == EXIT_REFUSAL
+    assert "--contour" in err
+
+
+def test_spectrum_exact_on_thirty_edges(tmp_path, capsys):
+    # above the default edge cap of the polynomial expansion
+    gp, bc = write_cycle_permutation(tmp_path, [1.0] * 30)
+    rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "1"])
+    assert rc == EXIT_OK
+    assert payload["solver"] == "exact-commensurable"
+    values = [(e["re"], e["mult"]) for e in payload["eigenvalues"]]
+    want = [2 * math.pi * k / 30 for k in range(-4, 5)]
+    assert [m for _, m in values] == [1] * len(want)
+    assert [v for v, _ in values] == pytest.approx(want, abs=1e-9)
 
 
 # -- charpoly -------------------------------------------------------------

@@ -19,11 +19,12 @@ from diracgraph.spectrum import (
 
 
 def pointwise_multiplicity(a, lengths, lam):
-    """Kernel dimension of ``diag(exp(i lam l)) - A``, one SVD per point."""
+    """Kernel dimension of ``diag(exp(i lam l)) - A`` and its smallest
+    singular value relative to the operand scale, one SVD per point."""
     phases = np.exp(1j * lam * np.asarray(lengths, dtype=float))
     s = np.linalg.svd(np.diag(phases) - a.matrix, compute_uv=False)
     scale = max(s[0], np.max(np.abs(phases)), np.linalg.norm(a.matrix))
-    return int(np.count_nonzero(s <= RANK_RTOL * scale))
+    return int(np.count_nonzero(s <= RANK_RTOL * scale)), s[-1] / scale
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -67,15 +68,17 @@ def test_stacked_rank_tests_match_pointwise_svd(seed):
         [zeros, np.add(zeros, 1e-4), rng.uniform(-3, 9, 70) + 1j * rng.normal(size=70)]
     )
     got = _multiplicities(a, lengths, lams)
-    assert [m for m, _ in got] == [pointwise_multiplicity(a, lengths, z) for z in lams]
-    assert all(m >= 1 for m, _ in got[: len(zeros)])
-    for lam, (m, kernel) in zip(lams, got):
+    want = [pointwise_multiplicity(a, lengths, z) for z in lams]
+    assert [m for m, _, _ in got] == [m for m, _ in want]
+    assert np.allclose([r for _, _, r in got], [r for _, r in want], rtol=1e-6, atol=1e-15)
+    assert all(m >= 1 for m, _, _ in got[: len(zeros)])
+    for lam, (m, kernel, _) in zip(lams, got):
         assert kernel.shape == (len(lengths), m)
         residual = (np.diag(np.exp(1j * lam * np.asarray(lengths))) - a.matrix) @ kernel
         assert np.linalg.norm(residual) <= 1e-6
     multiple = [2 * math.pi * k for k in range(-1, 2)] + [1.0, 2.0]
     got = _multiplicities(ident, [1.0] * n, multiple)
-    assert [m for m, _ in got] == [n, n, n, 0, 0]
+    assert [m for m, _, _ in got] == [n, n, n, 0, 0]
 
 
 @pytest.mark.parametrize("lo", [-0.5, -0.3, 0.1])

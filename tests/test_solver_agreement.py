@@ -1,0 +1,75 @@
+"""Differential tests: the three spectrum solvers agree where two apply.
+
+Graphs are random Eulerian graphs of up to 7 edges with integer length
+multipliers 1-3, so the exact solver applies to every map; hypothesis draws
+the seeds (derandomized, so every run checks the same cases).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diracgraph import (
+    Window,
+    spectrum_complex,
+    spectrum_exact_commensurable,
+    spectrum_numeric,
+)
+from diracgraph.randgen import (
+    random_eulerian_graph,
+    random_g_endomorphism,
+    random_unitary_g_endomorphism,
+)
+
+CASES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def commensurable_map(seed, random_map):
+    rng = np.random.default_rng(seed)
+    g = random_eulerian_graph(rng, max_edges=7)
+    mult = [int(m) for m in rng.integers(1, 4, size=g.n_edges)]
+    delta = float(rng.uniform(0.5, 1.5))
+    return rng, random_map(g, rng), mult, delta
+
+
+def assert_same_entries(got, want):
+    """Same eigenvalues to 1e-8 and the same multiplicities, matched by value."""
+    assert len(got.eigenvalues) == len(want.eigenvalues)
+    for e in want.eigenvalues:
+        match = min(got.eigenvalues, key=lambda f: abs(f.value - e.value))
+        assert abs(match.value - e.value) <= 1e-8
+        assert match.multiplicity == e.multiplicity
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_exact_and_contour_agree_on_gaussian_maps(seed):
+    rng, a, mult, delta = commensurable_map(seed, random_g_endomorphism)
+    re0, im0 = rng.uniform(-5.0, 5.0), -rng.uniform(0.2, 1.5)
+    rect = (re0, re0 + rng.uniform(0.5, 4.0), im0, rng.uniform(0.2, 1.0))
+    exact = spectrum_exact_commensurable(a, mult, delta, Window.rect(*rect))
+    contour = spectrum_complex(a, np.multiply(mult, delta), rect)
+    assert_same_entries(contour, exact)
+    assert contour.winding == sum(e.multiplicity for e in contour.eigenvalues)
+
+
+def check_exact_and_scan(seed):
+    rng, a, mult, delta = commensurable_map(seed, random_unitary_g_endomorphism)
+    lo = rng.uniform(-5.0, 5.0)
+    window = (lo, lo + rng.uniform(0.5, 3.0))
+    exact = spectrum_exact_commensurable(a, mult, delta, window)
+    scan = spectrum_numeric(a, np.multiply(mult, delta), window)
+    assert_same_entries(scan, exact)
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_exact_and_scan_agree_on_unitary_maps(seed):
+    check_exact_and_scan(seed)
+
+
+@pytest.mark.xfail(strict=True, reason="the scan drops one of two eigenvalues closer than its grid step")
+def test_exact_and_scan_agree_on_a_close_pair():
+    # eigenvalues -0.302661 and -0.295918, 0.0067 apart
+    check_exact_and_scan(114108)

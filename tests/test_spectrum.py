@@ -19,13 +19,15 @@ from diracgraph import (
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
+from diracgraph import charpoly, spectrum
+from diracgraph.charpoly import char_poly, specialize_univariate
 from diracgraph.errors import DiracGraphError, WindowTooLargeError
 from diracgraph.randgen import (
     random_eulerian_graph,
     random_g_endomorphism,
     random_unitary_g_endomorphism,
 )
-from diracgraph.spectrum import as_window
+from diracgraph.spectrum import _subdivided_map, as_window
 
 
 def shift_map(g, weights):
@@ -197,6 +199,102 @@ def test_exact_input_validation():
         spectrum_exact_commensurable(a, [1], 0.0, (-1, 1))
     with pytest.raises(ValueError):
         spectrum_exact_commensurable(a, [0], 1.0, (-1, 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subdivided_map_has_the_specialized_characteristic_polynomial(seed):
+    # det(zI - B) = P_A(z^{m_1}, .., z^{m_n}), against the expansion
+    rng = np.random.default_rng(300 + seed)
+    g = random_eulerian_graph(rng, max_edges=5)
+    a = random_g_endomorphism(g, rng)
+    mult = [int(m) for m in rng.integers(1, 4, size=g.n_edges)]
+    want = specialize_univariate(char_poly(a), mult)[::-1]
+    assert np.allclose(np.poly(_subdivided_map(a.matrix, mult)), want, atol=1e-9)
+
+
+def counting_rank_tests(monkeypatch):
+    """Points passed to the stacked rank test, counted through a wrapper."""
+    points = []
+    stacked = spectrum._multiplicities
+
+    def counted(a, lengths, lams, *args):
+        points.append(np.size(lams))
+        return stacked(a, lengths, lams, *args)
+
+    monkeypatch.setattr(spectrum, "_multiplicities", counted)
+    return points
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exact_multiple_root_is_one_group(n, monkeypatch):
+    # B = 2I has one n-fold eigenvalue, not n scattered companion roots
+    points = counting_rank_tests(monkeypatch)
+    g, a = scaled_identity_rose(n, 2.0)
+    rep = spectrum_exact_commensurable(a, [1] * n, 1.0, Window.rect(-1, 1, -2, 0))
+    assert [e.multiplicity for e in rep.eigenvalues] == [n]
+    assert rep.eigenvalues[0].value == pytest.approx(-1j * math.log(2.0), abs=1e-12)
+    assert sum(points) <= 2
+
+
+def jordan_rose():
+    """rose(5) under Q M Q*: M has one eigenvalue in Jordan blocks 2, 2, 1."""
+    mu = -2.5082 - 0.2423j
+    m = mu * np.eye(5) + np.diag([1.0, 0.0, 1.0, 0.0], k=1)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    return GEndomorphism(rose(5), q @ m @ q.conj().T)
+
+
+def test_exact_defective_zero_is_reported_once_and_warned():
+    # two 5-fold zeros of geometric multiplicity 3 in the rectangle
+    a = jordan_rose()
+    rect = (3.2373, 11.2455, -1.0678, 0.8634)
+    rep = spectrum_exact_commensurable(a, [1] * 5, 1.0, Window.rect(*rect))
+    contour = spectrum_complex(a, rect=rect)
+    assert [e.multiplicity for e in rep.eigenvalues] == [3, 3]
+    assert np.allclose(rep.values(), contour.values(), atol=1e-8)
+    defects = [w for w in rep.warnings if "defective" in w]
+    assert len(defects) == 2 and all("hint 5" in w and "dimension 3" in w for w in defects)
+
+
+def test_exact_drops_zero_eigenvalues_of_a_singular_map():
+    # all-ones map, multipliers (2, 2): det(zI - B) = z^2 (z^2 - 2); the
+    # defective zero eigenvalue scatters off 0, where T(lambda) is -A to
+    # within the rank tolerance
+    a = GEndomorphism(rose(2), np.ones((2, 2)))
+    rep = spectrum_exact_commensurable(a, [2, 2], 1.0, (-10.0, 10.0))
+    want = [math.pi * k - 0.5j * math.log(2.0) for k in range(-3, 4)]
+    assert np.allclose(rep.values(), want, atol=1e-9)
+    assert rep.warnings == ()
+
+
+def forbid_expansion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the polynomial was expanded")
+
+    monkeypatch.setattr(charpoly, "char_poly", refuse)
+
+
+def test_exact_solver_has_no_edge_cap(monkeypatch):
+    forbid_expansion(monkeypatch)
+    rng = np.random.default_rng(30)
+    a = random_unitary_g_endomorphism(rose(30), rng)
+    rep = spectrum_exact_commensurable(a, [1] * 30, 1.0, (0.5, 0.5 + 2 * math.pi))
+    want = np.sort((np.angle(np.linalg.eigvals(a.matrix)) - 0.5) % (2 * math.pi) + 0.5)
+    got = np.concatenate([[e.value] * e.multiplicity for e in rep.eigenvalues])
+    assert got.size == 30
+    assert np.allclose(got, want, atol=1e-9)
+    assert rep.warnings == ()
+
+
+def test_contour_solver_has_no_edge_cap(monkeypatch):
+    forbid_expansion(monkeypatch)
+    rng = np.random.default_rng(31)
+    a = random_g_endomorphism(rose(30), rng)
+    rep = spectrum_complex(a, rect=(0.0, 2.0, -2.0, 0.5))
+    assert rep.winding > 0
+    assert rep.winding == sum(e.multiplicity for e in rep.eigenvalues)
+    assert rep.warnings == ()
 
 
 # -- scan solver ----------------------------------------------------------
