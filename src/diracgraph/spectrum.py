@@ -431,7 +431,8 @@ def spectrum_exact_commensurable(
     Substituting ``z = exp(i lambda delta)`` turns ``det T(lambda)`` into
     ``det(zI - B)`` for the ``d x d`` subdivided map ``B``, ``d = sum m_e``,
     so its nonzero eigenvalues are the roots, found by one eigensolve; zero
-    eigenvalues correspond to no eigenvalue and are discarded.  Each root
+    eigenvalues, and roots too small for the rank test to tell from zero,
+    are discarded.  Each root
     ``z`` with argument ``phi`` in ``[0, 2 pi)`` and modulus ``exp(alpha)``
     yields the eigenvalue family ``(phi + 2 pi k - i alpha) / delta`` over
     all integers ``k``; the report lists the members inside the window.
