@@ -83,6 +83,7 @@ from .spectrum import (
     general_eigencondition,
     multiplicity,
     spectrum_complex,
+    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )

@@ -54,9 +54,11 @@ from .jsonio import (
     topology_to_json,
 )
 from .spectrum import (
+    MAX_EXPECTED_ROOTS,
     UNITARY_TOL,
     Window,
     spectrum_complex,
+    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
@@ -79,8 +81,15 @@ MAX_DENOMINATOR = 1000
 
 # The exact solver eigensolves the subdivided map of size d = sum m_e, at
 # a cost growing as d**3 (about 5 s at d = 1000 on one core); above this
-# bound a unitary map goes to the scan and any other map is refused.
+# bound a unitary map goes to the scan (to the eigenphase locator above the
+# scan's edge cap) and any other map is refused.
 MAX_EXACT_DEGREE = 1000
+
+# The eigenphase locator costs about EIGENPHASE_COST * n**3 per expected
+# eigenvalue of the window; a unitary map within the degree bound goes to
+# it when that is below the exact solver's d**3 and the window is one the
+# locator takes (at most MAX_EXPECTED_ROOTS eigenvalues).
+EIGENPHASE_COST = 128
 
 
 def _emit(payload, fmt: str, pretty_lines=None) -> None:
@@ -213,10 +222,20 @@ def cmd_spectrum(args) -> int:
     if mode is None:
         if args.rect is not None:
             mode = "contour"
+        elif is_unitary(a, UNITARY_TOL):
+            if degree is not None and degree <= MAX_EXACT_DEGREE:
+                expected = (window.re_max - window.re_min) * sum(lengths) / (2 * np.pi)
+                cheap = (
+                    expected <= MAX_EXPECTED_ROOTS
+                    and EIGENPHASE_COST * expected * g.n_edges**3 < degree**3
+                )
+                mode = "eigenphase" if cheap else "exact"
+            else:
+                # ROADMAP item 1 has the timings for moving the maps within
+                # the scan's edge cap to the locator too, and what holds it up.
+                mode = "eigenphase" if g.n_edges > DEFAULT_EDGE_CAP else "scan"
         elif degree is not None and degree <= MAX_EXACT_DEGREE:
             mode = "exact"
-        elif is_unitary(a, UNITARY_TOL):
-            mode = "scan"
         elif degree is not None:
             raise DiracGraphError(
                 f"exact solver degree {degree} exceeds {MAX_EXACT_DEGREE} and the "
@@ -250,6 +269,8 @@ def cmd_spectrum(args) -> int:
             )
             raise DiracGraphError("scan refused for non-unitary edge map")
         report = spectrum_numeric(a, lengths, window, residual_tol=args.tol)
+    elif mode == "eigenphase":
+        report = spectrum_eigenphase(a, lengths, window, residual_tol=args.tol)
     else:
         if rect is None:
             raise DiracGraphError("contour solver needs --rect RE0 RE1 IM0 IM1")
@@ -440,8 +461,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also compute kernel and cokernel dimensions")
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="eigenvalues of a boundary condition")
+    p = sub.add_parser(
+        "spectrum", parents=[common], help="eigenvalues of a boundary condition",
+        description="Eigenvalues of a boundary condition. Unless a solver is "
+        "forced, a --rect goes to the contour solver. A unitary map with "
+        f"commensurable lengths and d = sum m_e <= {MAX_EXACT_DEGREE} goes to "
+        f"the eigenphase locator when {EIGENPHASE_COST} * expected * n**3 < "
+        "d**3 (expected = window width * total length / 2 pi, n edges) and "
+        f"expected <= {MAX_EXPECTED_ROOTS}, else to the exact solver; any "
+        "other unitary map goes to the scan, or to the eigenphase locator "
+        f"above {DEFAULT_EDGE_CAP} edges. Any other map "
+        f"with d <= {MAX_EXACT_DEGREE} goes to the exact solver.",
+    )
     p.add_argument("graph")
     p.add_argument("--bc", required=True)
     group = p.add_mutually_exclusive_group()

@@ -3,20 +3,27 @@
 The point spectrum of the realization attached to the graph of an edge map
 ``A`` consists of the zeros of ``det T(lambda)``, ``T(lambda) =
 diag(exp(i lambda l)) - A``, the secular function ``P_A(exp(i lambda l_1),
-.., exp(i lambda l_n))``.  Three solvers cover the practical cases, and each
+.., exp(i lambda l_n))``.  Four solvers cover the practical cases, and each
 one only proposes candidate zeros:
 
 * commensurable lengths make ``z = exp(i lambda delta)`` an eigenvalue of
   the subdivided edge map; its nonzero eigenvalues generate periodic
   eigenvalue families (exact route),
-* unitary maps have real spectrum, found by a grid scan of the secular
-  function on a real window followed by Newton polishing; the scan, the
-  one solver that expands ``P_A``, works on whole arrays (grid values from
-  one blocked product, minima by a mask, one array Newton iteration),
+* unitary maps have real spectrum: ``lambda`` is an eigenvalue where the
+  unitary ``S(lambda) = diag(exp(-i lambda l)) A`` has the eigenvalue 1, and
+  the eigenphases of ``S`` count the eigenvalues of any real cell exactly;
+  the eigenphase locator bisects cells by that count and pins each
+  eigenvalue by Newton on its crossing eigenphase,
+* unitary maps also go to a grid scan of the secular function on a real
+  window followed by Newton polishing; the scan, the one solver that
+  expands ``P_A``, works on whole arrays (grid values from one blocked
+  product, minima by a mask, one array Newton iteration), and where the
+  eigenphase count of its window shows the grid stepped over a zero it
+  reports the locator's values instead,
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
-All three end in one shared step.  Nearby candidates are grouped (the
+All four end in one shared step.  Nearby candidates are grouped (the
 group size is a multiplicity hint), every group is certified by the kernel
 dimension of ``T(lambda)`` via SVD (one stacked call for the strict test of
 all candidates), escalating through Newton polishes on ``det T`` for
@@ -53,8 +60,14 @@ UNITARY_TOL = 1e-8
 # Refuse real windows expected to contain more roots than this.
 MAX_EXPECTED_ROOTS = 10**5
 
-# Rank tests stack at most this many matrices in one SVD call.
-SVD_CHUNK = 64
+# Stacked SVD and eigenvalue calls take at most this many matrices at once.
+STACK_CHUNK = 64
+
+# Eigenphase count cells are bisected down to CELL_FLOOR times 1 + |x|; the
+# crossing eigenphase of a cell holding one eigenvalue gets at most
+# MAX_PHASE_STEPS Newton steps.
+CELL_FLOOR = 1e-9
+MAX_PHASE_STEPS = 50
 
 # Contour panels: QUAD_ORDER Gauss-Legendre nodes, at most MAX_HALVINGS
 # halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.
@@ -165,14 +178,14 @@ def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
     """:func:`multiplicity` at every point of ``lams``, by stacked SVDs, plus
     the residual: the smallest singular value relative to the operand scale.
 
-    The matrices go to LAPACK ``SVD_CHUNK`` at a time, which bounds the stack.
+    The matrices go to LAPACK ``STACK_CHUNK`` at a time, which bounds the stack.
     """
     lengths = np.asarray(lengths, dtype=float)
     lams = np.asarray(lams, dtype=complex).ravel()
     norm_a = float(np.linalg.norm(a.matrix))
     out = []
-    for s in range(0, lams.size, SVD_CHUNK):
-        t, phases = _t_matrices(a, lengths, lams[s : s + SVD_CHUNK])
+    for s in range(0, lams.size, STACK_CHUNK):
+        t, phases = _t_matrices(a, lengths, lams[s : s + STACK_CHUNK])
         _, sv, vh = np.linalg.svd(t)
         # Threshold against the operand scale, not s[0]: at an eigenvalue of
         # a diagonal map the whole difference is tiny and every singular
@@ -398,6 +411,13 @@ def _certified_entries(
     return tuple(unique)
 
 
+def _check_count(name: str, count: int, entries, warnings: list[str]) -> None:
+    """Warn when a zero count and the reported multiplicity sum differ."""
+    reported = sum(e.multiplicity for e in entries)
+    if reported != count:
+        warnings.append(f"{name} {count} and reported multiplicity sum {reported} disagree")
+
+
 # -- exact solver for commensurable lengths ------------------------------
 
 
@@ -476,6 +496,179 @@ def spectrum_exact_commensurable(
     return SpectrumReport("exact-commensurable", window, entries, tuple(warnings))
 
 
+# -- eigenphase count and locator for unitary maps -----------------------
+
+
+def _quantum_maps(a, lengths, xs) -> np.ndarray:
+    """``S(x) = diag(exp(-i x l)) A`` stacked over the real points ``xs``."""
+    return np.exp(-1j * np.multiply.outer(xs, lengths))[..., None] * a.matrix
+
+
+def _phase_sums(a, lengths, xs) -> np.ndarray:
+    """Sum of the eigenphases of ``S(x)`` in ``[0, 2 pi)`` at every point of
+    ``xs``, from ``eigvals`` on ``STACK_CHUNK`` matrices at a time."""
+    xs = np.asarray(xs, dtype=float)
+    sums = np.empty(xs.size)
+    for s in range(0, xs.size, STACK_CHUNK):
+        w = np.linalg.eigvals(_quantum_maps(a, lengths, xs[s : s + STACK_CHUNK]))
+        sums[s : s + STACK_CHUNK] = np.mod(np.angle(w), 2 * math.pi).sum(axis=1)
+    return sums
+
+
+def _counts(total: float, x0, x1, p0, p1) -> np.ndarray:
+    """Eigenvalues of a unitary map in the cells ``[x0, x1)``, with
+    multiplicity, from the phase sums ``p0``, ``p1`` at the cell ends.
+
+    ``S(x)`` is unitary with ``det S = exp(-i x L) det A``: its eigenphases
+    turn clockwise with summed rate ``L``, and ``x`` is an eigenvalue of
+    multiplicity ``m`` where ``m`` of them pass 0, each wrapping to ``2 pi``
+    (Kottos & Smilansky, Ann. Phys. 274 (1999)).
+    """
+    turns = total * np.subtract(x1, x0) + np.subtract(p1, p0)
+    return np.rint(turns / (2 * math.pi)).astype(int)
+
+
+def _phase_newton(a, lengths, lo, hi, p_lo) -> np.ndarray:
+    """The eigenvalue in each cell ``[lo, hi)`` holding one, all cells at once.
+
+    At ``x`` each eigenphase ``theta`` of ``S(x)`` in ``(-pi, pi]`` turns
+    clockwise at the rate ``v* diag(l) v`` of its eigenvector ``v``
+    (Hellmann-Feynman; Barra & Gaspard, J. Stat. Phys. 101 (2000)), so
+    Newton on the crossing phase steps to ``x + theta / rate``, the predicted
+    crossing inside the cell nearest ``x``.  The phase sum at ``x`` counts
+    ``[lo, x)`` and so shrinks the cell to the side holding the eigenvalue;
+    a step leaving the shrunk cell is replaced by its midpoint.
+    """
+    lo, hi, p_lo = (np.array(c, dtype=float) for c in (lo, hi, p_lo))
+    total = float(lengths.sum())
+    x = (lo + hi) / 2
+    active = np.arange(x.size)
+    for _ in range(MAX_PHASE_STEPS):
+        if not active.size:
+            break
+        xa, la, ha = x[active], lo[active], hi[active]
+        w, v = np.linalg.eig(_quantum_maps(a, lengths, xa))
+        theta = np.angle(w)
+        target = xa[:, None] + theta / np.einsum("e,kej->kj", lengths, np.abs(v) ** 2)
+        inside = (target >= la[:, None]) & (target <= ha[:, None])
+        reach = np.where(inside, np.abs(target - xa[:, None]), np.inf)
+        pick = np.argmin(reach, axis=1)
+        rows = np.arange(active.size)
+        new = np.where(np.isfinite(reach[rows, pick]), target[rows, pick], (la + ha) / 2)
+        done = np.abs(new - xa) <= 1e-12 * (1 + np.abs(xa))
+        p = np.mod(theta, 2 * math.pi).sum(axis=1)
+        right = _counts(total, la, xa, p_lo[active], p) <= 0
+        lo[active], p_lo[active] = np.where(right, xa, la), np.where(right, p, p_lo[active])
+        hi[active] = np.where(right, ha, xa)
+        stray = ~done & ((new < lo[active]) | (new > hi[active]))
+        x[active] = np.where(stray, (lo[active] + hi[active]) / 2, new)
+        active = active[~done]
+    return x
+
+
+def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
+    """Candidates ``(point, hint)`` for the eigenvalues in the cells ``[x0,
+    x1)``, which hold ``count`` of them by the phase sums ``p0``, ``p1``.
+
+    Cells holding more than one are bisected, all at once, until each holds
+    one or is narrower than ``CELL_FLOOR (1 + |x|)``; such a narrow cell is
+    one candidate hinted at its count, the others go to eigenphase Newton,
+    ``STACK_CHUNK`` cells at a time.
+    """
+    total = float(lengths.sum())
+    cells = [np.asarray(c)[np.asarray(count) > 0] for c in (x0, x1, p0, p1, count)]
+    while True:
+        x0, x1, p0, p1, count = cells
+        split = (count > 1) & (x1 - x0 > CELL_FLOOR * (1 + np.abs(x0)))
+        if not split.any():
+            break
+        mid = (x0[split] + x1[split]) / 2
+        p_mid = _phase_sums(a, lengths, mid)
+        low = _counts(total, x0[split], mid, p0[split], p_mid)
+        parts = (
+            [c[~split] for c in cells],
+            [x0[split], mid, p0[split], p_mid, low],
+            [mid, x1[split], p_mid, p1[split], count[split] - low],
+        )
+        cells = [np.concatenate(column) for column in zip(*parts)]
+        cells = [c[cells[4] > 0] for c in cells]
+    one = count == 1
+    singles = [x0[one], x1[one], p0[one]]
+    roots = [
+        x
+        for s in range(0, singles[0].size, STACK_CHUNK)
+        for x in _phase_newton(a, lengths, *(c[s : s + STACK_CHUNK] for c in singles))
+    ]
+    narrow = zip((x0[~one] + x1[~one]) / 2, count[~one])
+    return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
+
+
+def _real_window(window: Window, lengths, solver: str) -> tuple[float, float, float]:
+    """Checked bounds of a real window widened by ``DEDUPE_RADIUS``, and its
+    expected eigenvalue count ``width L / 2 pi``."""
+    if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
+        raise ValueError(f"{solver} solver needs a window containing the real line")
+    width = window.re_max - window.re_min
+    expected = width * float(np.sum(lengths)) / (2 * math.pi)
+    if expected > MAX_EXPECTED_ROOTS:
+        raise WindowTooLargeError(
+            f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
+            "split it into smaller pieces"
+        )
+    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS, expected
+
+
+def _require_unitary(a) -> None:
+    if not is_unitary(a, UNITARY_TOL):
+        raise DiracGraphError(
+            "edge map is not unitary, its spectrum need not be real; "
+            "use the contour solver on a rectangle instead"
+        )
+
+
+def spectrum_eigenphase(
+    a: GEndomorphism,
+    lengths=None,
+    window=(-10.0, 10.0),
+    *,
+    residual_tol: float = RESIDUAL_TOL,
+) -> SpectrumReport:
+    """Real spectrum of a unitary edge map on a real window, by eigenphase count.
+
+    ``lambda`` is an ``m``-fold eigenvalue exactly when ``S(lambda) =
+    diag(exp(-i lambda l)) A`` has the eigenvalue 1 with multiplicity ``m``.
+    Phase sums at the ends of about four cells per expected eigenvalue, from
+    stacked ``eigvals`` calls, count the eigenvalues in each cell exactly
+    (:func:`_counts`); cells are bisected until each holds one, which Newton
+    on the crossing eigenphase pins, or is too narrow to split, which is one
+    multiple candidate.  The cost grows with the eigenvalue count times
+    ``n**3``, with no polynomial expansion and no edge cap.  The report's
+    ``winding`` is the count of the window widened by ``DEDUPE_RADIUS``, a
+    check on the listed multiplicities.
+    """
+    window = as_window(window)
+    lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
+    _require_unitary(a)
+    warnings: list[str] = []
+    entries, winding = _eigenphase_entries(a, lengths, window, residual_tol, warnings)
+    _check_count("winding number", winding, entries, warnings)
+    return SpectrumReport("eigenphase", window, entries, tuple(warnings), winding=winding)
+
+
+def _eigenphase_entries(a, lengths, window, residual_tol, warnings):
+    """:func:`spectrum_eigenphase`'s certified entries, and the count of the
+    window widened by ``DEDUPE_RADIUS``."""
+    lo, hi, expected = _real_window(window, lengths, "eigenphase")
+    xs = np.linspace(lo, hi, max(2, math.ceil(4 * expected)) + 1)
+    p = _phase_sums(a, lengths, xs)
+    count = _counts(float(lengths.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
+    candidates = _locate(a, lengths, xs[:-1], xs[1:], p[:-1], p[1:], count)
+    entries = _certified_entries(
+        a, lengths, window, candidates, residual_tol, warnings, real_axis=True
+    )
+    return entries, int(count.sum())
+
+
 # -- real line scan for unitary maps -------------------------------------
 
 
@@ -494,27 +687,21 @@ def spectrum_numeric(
     minima of the magnitude below a promotion threshold derived from that
     bound are polished by one array Newton iteration, grouped, and
     confirmed by the SVD rank test; a minimum whose Newton limit leaves the
-    real axis is tried as it stands.  For a map
+    real axis is tried as it stands.  Two zeros closer than the grid step
+    can share one minimum: when the eigenphase count of the window exceeds
+    the certified multiplicities, the report holds what
+    :func:`spectrum_eigenphase` finds in the window instead, and a count
+    still unmet is warned.  For a map
     that is not unitary the spectrum need not be real and this solver
     refuses; use the contour solver instead.
     """
     window = as_window(window)
-    if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
-        raise ValueError("scan solver needs a window containing the real line")
-    if not is_unitary(a, UNITARY_TOL):
-        raise DiracGraphError(
-            "edge map is not unitary, its spectrum need not be real; "
-            "use the contour solver on a rectangle instead"
-        )
+    lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
+    lo, hi, _ = _real_window(window, lengths, "scan")
+    _require_unitary(a)
     cf = char_function(a, lengths)
     total = cf.total_length
     width = window.re_max - window.re_min
-    expected = width * total / (2 * math.pi)
-    if expected > MAX_EXPECTED_ROOTS:
-        raise WindowTooLargeError(
-            f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
-            "split it into smaller pieces"
-        )
 
     warnings: list[str] = []
     step = min(0.01, math.pi / (4 * total)) if total > 0 else 0.01
@@ -542,8 +729,17 @@ def spectrum_numeric(
     candidates = [(x, 1) for x, _ in _group(limits.real[on_axis], DEDUPE_RADIUS)]
     stalled = [(x, 1) for x in minima[~on_axis]]
     entries = _certified_entries(
-        a, cf.lengths, window, candidates, residual_tol, warnings, real_axis=True, quiet=stalled
+        a, lengths, window, candidates, residual_tol, warnings,
+        real_axis=True, quiet=stalled,
     )
+    # The grid can step over one of two zeros closer than its step; the
+    # window's eigenphase count shows the deficit, and the locator's
+    # entries for the window replace the scan's.
+    count = int(_counts(total, lo, hi, *_phase_sums(a, lengths, [lo, hi])))
+    if count > sum(e.multiplicity for e in entries):
+        warnings = []
+        entries, count = _eigenphase_entries(a, lengths, window, residual_tol, warnings)
+    _check_count("eigenphase count", count, entries, warnings)
     return SpectrumReport("scan", window, entries, tuple(warnings))
 
 
@@ -716,12 +912,7 @@ def spectrum_complex(
     groups = _rank_groups(a, lengths, estimates)
     candidates = [(z if m > 1 else _polish(a, lengths, z), m) for z, m in groups]
     entries = _certified_entries(a, lengths, window, candidates, residual_tol, warnings, pad=pad)
-    reported = sum(e.multiplicity for e in entries)
-    if reported != winding:
-        warnings.append(
-            f"winding number {winding} and reported multiplicity sum "
-            f"{reported} disagree"
-        )
+    _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("contour", window, entries, tuple(warnings), winding=winding)
 
 

@@ -1,4 +1,4 @@
-"""The step shared by the three spectrum solvers: grouping and certification."""
+"""The step shared by the spectrum solvers: grouping and certification."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from diracgraph import (
     spectrum_complex,
+    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
@@ -77,6 +78,7 @@ def test_every_solver_drops_entries_above_the_residual_tolerance():
     solvers = (
         lambda tol: spectrum_exact_commensurable(a, ones, 1.0, (-4.0, 4.0), residual_tol=tol),
         lambda tol: spectrum_numeric(a, window=(-4.0, 4.0), residual_tol=tol),
+        lambda tol: spectrum_eigenphase(a, window=(-4.0, 4.0), residual_tol=tol),
         lambda tol: spectrum_complex(a, rect=(-4.0, 4.0, -0.5, 0.5), residual_tol=tol),
     )
     for solve in solvers:

@@ -21,6 +21,7 @@ from diracgraph.jsonio import (
     graph_to_json,
     subspace_to_json,
 )
+from diracgraph.randgen import random_unitary_g_endomorphism
 
 
 def write_json(tmp_path, name, payload):
@@ -281,6 +282,64 @@ def test_spectrum_exact_on_thirty_edges(tmp_path, capsys):
     want = [2 * math.pi * k / 30 for k in range(-4, 5)]
     assert [m for _, m in values] == [1] * len(want)
     assert [v for v, _ in values] == pytest.approx(want, abs=1e-9)
+
+
+def write_unitary_walk(tmp_path, edges, lengths, seed):
+    """Graph with the given ``(tail, head)`` edges and lengths, and a random
+    unitary edge map on it."""
+    g = graph_from_edges(
+        [(f"e{k}", t, h, float(l)) for k, ((t, h), l) in enumerate(zip(edges, lengths))]
+    )
+    a = random_unitary_g_endomorphism(g, np.random.default_rng(seed))
+    return write_graph(tmp_path, g), write_json(tmp_path, "bc.json", endomorphism_to_json(a)), a
+
+
+def test_spectrum_routes_cheap_windows_to_the_eigenphase_locator(tmp_path, capsys):
+    # d = 300 and about 40 eigenvalues in the window: 128 * 40 * 6**3 < 300**3
+    edges = [("u", "u"), ("u", "v"), ("v", "u"), ("v", "v"), ("u", "v"), ("v", "u")]
+    mult = [37, 53, 41, 61, 47, 61]
+    gp, bc, _ = write_unitary_walk(tmp_path, edges, np.multiply(mult, 10.0 / 300), 11)
+    window = ["--window", "3.0", str(3.0 + 80 * math.pi / 10)]
+    rc, located, err = run_json(capsys, ["spectrum", gp, "--bc", bc] + window)
+    assert rc == EXIT_OK and err == ""
+    assert located["solver"] == "eigenphase" and located["warnings"] == []
+    rc, exact, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--exact"] + window)
+    assert exact["solver"] == "exact-commensurable"
+    got = [(e["re"], e["mult"]) for e in located["eigenvalues"]]
+    want = [(e["re"], e["mult"]) for e in exact["eigenvalues"]]
+    assert 35 <= len(want) <= 45
+    assert [m for _, m in got] == [m for _, m in want]
+    assert [v for v, _ in got] == pytest.approx([v for v, _ in want], abs=1e-9)
+    assert located["winding"] == sum(m for _, m in got)
+
+
+def test_spectrum_keeps_windows_past_the_locator_bound_on_the_exact_route(tmp_path, capsys):
+    # lengths (1, 1.004) give d = 501 on 2 edges: the cost rule favours the
+    # locator, but the window holds about 1.1e5 eigenvalues, more than it takes
+    gp, bc, _ = write_unitary_walk(tmp_path, [("u", "u"), ("u", "u")], [1.0, 1.004], 3)
+    rc, payload, err = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "0", "3.5e5"])
+    assert rc == EXIT_OK and err == ""
+    assert payload["solver"] == "exact-commensurable" and payload["warnings"] == []
+    count = sum(e["mult"] for e in payload["eigenvalues"])
+    assert abs(count - 3.5e5 * 2.004 / (2 * math.pi)) < 3
+
+
+def test_spectrum_locates_unitary_maps_above_the_edge_cap(tmp_path, capsys):
+    # 60 edges with incommensurable lengths: the scan's expansion is capped
+    rng = np.random.default_rng(5)
+    edges = [(f"v{k % 6}", f"v{(k + 1) % 6}") for k in range(60)]
+    lengths = rng.uniform(0.5, 1.5, size=60)
+    gp, bc, a = write_unitary_walk(tmp_path, edges, lengths, 5)
+    rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "0", "2"])
+    assert rc == EXIT_OK
+    assert payload["solver"] == "eigenphase" and payload["warnings"] == []
+    values = [(e["re"], e["mult"]) for e in payload["eigenvalues"]]
+    assert len(values) >= 10 and payload["winding"] == sum(m for _, m in values)
+    for lam, m in values:
+        sv = np.linalg.svd(np.diag(np.exp(1j * lam * lengths)) - a.matrix, compute_uv=False)
+        assert np.count_nonzero(sv < 1e-8) == m
+    rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc, "--window", "0", "2", "--scan"])
+    assert rc == EXIT_REFUSAL and "capped" in err
 
 
 # -- charpoly -------------------------------------------------------------

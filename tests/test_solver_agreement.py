@@ -1,18 +1,19 @@
-"""Differential tests: the three spectrum solvers agree where two apply.
+"""Differential tests: the spectrum solvers agree where two apply.
 
 Graphs are random Eulerian graphs of up to 7 edges with integer length
-multipliers 1-3, so the exact solver applies to every map; hypothesis draws
-the seeds (derandomized, so every run checks the same cases).
+multipliers 1-3, so the exact solver applies to every map, or with random
+lengths for the scan against the eigenphase locator; hypothesis draws the
+seeds (derandomized, so every run checks the same cases).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracgraph import (
     Window,
     spectrum_complex,
+    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
@@ -69,7 +70,31 @@ def test_exact_and_scan_agree_on_unitary_maps(seed):
     check_exact_and_scan(seed)
 
 
-@pytest.mark.xfail(strict=True, reason="the scan drops one of two eigenvalues closer than its grid step")
 def test_exact_and_scan_agree_on_a_close_pair():
     # eigenvalues -0.302661 and -0.295918, 0.0067 apart
     check_exact_and_scan(114108)
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_exact_and_eigenphase_agree_on_unitary_maps(seed):
+    rng, a, mult, delta = commensurable_map(seed, random_unitary_g_endomorphism)
+    lo = rng.uniform(-10.0, 10.0)
+    window = (lo, lo + rng.uniform(0.5, 8.0))
+    exact = spectrum_exact_commensurable(a, mult, delta, window)
+    located = spectrum_eigenphase(a, np.multiply(mult, delta), window)
+    assert_same_entries(located, exact)
+    assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_scan_and_eigenphase_agree_on_incommensurable_maps(seed):
+    rng = np.random.default_rng(seed)
+    g = random_eulerian_graph(rng, max_edges=7, unit_lengths=False)
+    a = random_unitary_g_endomorphism(g, rng)
+    lo = rng.uniform(-10.0, 10.0)
+    window = (lo, lo + rng.uniform(0.5, 8.0))
+    located = spectrum_eigenphase(a, window=window)
+    assert_same_entries(spectrum_numeric(a, window=window), located)
+    assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
