@@ -24,6 +24,7 @@ from .graph import (
     degrees,
     enumerate_cycle_collections,
 )
+from .trails import GPermutation, permutation_to_decomposition
 
 
 class AdjacencyEndomorphism(GEndomorphism):
@@ -45,22 +46,10 @@ def adjacency_nonsingular(g: MetricGraph) -> tuple[bool, int | None]:
     """
     if any(degrees(g, v) != (1, 1) for v in g.vertices):
         return False, None
-    # Disjoint cycles: follow unique successors to count components.
-    n = g.n_edges
-    succ = {}
-    for e in g.edges:
-        succ[e.id] = g.edges[g.out_edges(e.head)[0]].id
-    seen: set[str] = set()
-    cycles = 0
-    for e in g.edges:
-        if e.id in seen:
-            continue
-        cycles += 1
-        cur = e.id
-        while cur not in seen:
-            seen.add(cur)
-            cur = succ[cur]
-    det = (-1) ** ((cycles - n) % 2)
+    # Disjoint cycles: the unique successors form a permutation, one orbit each.
+    succ = {e.id: g.edges[g.out_edges(e.head)[0]].id for e in g.edges}
+    cycles = permutation_to_decomposition(GPermutation(g, succ)).trail_count
+    det = (-1) ** ((cycles - g.n_edges) % 2)
     numeric = np.linalg.det(build_adjacency(g).matrix).real
     if abs(numeric - det) > 1e-6:
         raise DiracGraphError(

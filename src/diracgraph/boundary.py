@@ -26,6 +26,10 @@ REASON_NOT_EULERIAN = "graph not Eulerian"
 REASON_DIMENSION = "dim != |E|"
 REASON_NOT_SELF_ADJOINT = "B != B^ad"
 
+# Maps count as unitary when ``A* A`` is the identity up to this entrywise
+# maximum; every solver and the CLI's routing use this one value.
+UNITARY_TOL = 1e-8
+
 # Trace coordinates of the start and of the end values, edge by edge.
 _STARTS = slice(0, None, 2)
 _ENDS = slice(1, None, 2)
@@ -98,7 +102,7 @@ class TraceSpace:
 class BoundarySubspace:
     """Subspace of a trace space, stored as a column basis."""
 
-    def __init__(self, space: TraceSpace, basis: np.ndarray, rtol: float = linalg.RANK_RTOL):
+    def __init__(self, space: TraceSpace, basis: np.ndarray):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim == 1:
             basis = basis[:, None]
@@ -108,7 +112,7 @@ class BoundarySubspace:
             raise ValueError(
                 f"basis has ambient dimension {basis.shape[0]}, expected {space.dim}"
             )
-        if linalg.numeric_rank(basis, rtol) != basis.shape[1]:
+        if linalg.numeric_rank(basis) != basis.shape[1]:
             raise ValueError("basis columns are linearly dependent")
         self.space = space
         self.matrix = basis
@@ -138,14 +142,14 @@ class BoundarySubspace:
             self._ortho = linalg.orthonormal_columns(self.matrix)
         return self._ortho
 
-    def contains(self, vector: np.ndarray, tol: float = linalg.SUBSPACE_TOL) -> bool:
+    def contains(self, vector: np.ndarray) -> bool:
         v = np.asarray(vector, dtype=complex)
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
         q = self.orthonormal_basis()
         resid = v - q @ (q.conj().T @ v)
-        return bool(np.linalg.norm(resid) <= tol * nv)
+        return bool(np.linalg.norm(resid) <= linalg.SUBSPACE_TOL * nv)
 
     def equals(self, other: "BoundarySubspace", rtol: float = linalg.SUBSPACE_TOL) -> bool:
         return linalg.spans_equal(self.matrix, other.matrix, rtol)
@@ -205,7 +209,7 @@ class GEndomorphism:
         return f"GEndomorphism(on {self.graph!r})"
 
 
-def is_unitary(a: GEndomorphism, tol: float = 1e-10) -> bool:
+def is_unitary(a: GEndomorphism, tol: float = UNITARY_TOL) -> bool:
     """Whether ``A* A = 1`` up to ``tol`` in the entrywise maximum norm."""
     n = a.n_edges
     gram = a.matrix.conj().T @ a.matrix - np.eye(n)
@@ -254,9 +258,7 @@ def endomorphism_from_subspace(b: BoundarySubspace) -> GEndomorphism | None:
     return endo
 
 
-def local_decomposition(
-    b: BoundarySubspace, rtol: float = linalg.RANK_RTOL
-) -> dict[str, np.ndarray] | None:
+def local_decomposition(b: BoundarySubspace) -> dict[str, np.ndarray] | None:
     """Per-vertex blocks of a local subspace, or ``None`` when not local.
 
     A subspace is local when it is the direct sum of its intersections with
@@ -273,7 +275,7 @@ def local_decomposition(
     for v in space.graph.vertices:
         coords = space.vertex_coordinates(v)
         outside = np.setdiff1d(all_idx, coords)
-        coeffs = linalg.null_space(b.matrix[outside, :], rtol)
+        coeffs = linalg.null_space(b.matrix[outside, :])
         k = coeffs.shape[1]
         if k:
             blocks[v] = b.matrix @ coeffs
@@ -281,8 +283,8 @@ def local_decomposition(
     return blocks if total == b.dim else None
 
 
-def is_local(b: BoundarySubspace, rtol: float = linalg.RANK_RTOL) -> bool:
-    return local_decomposition(b, rtol) is not None
+def is_local(b: BoundarySubspace) -> bool:
+    return local_decomposition(b) is not None
 
 
 def adjoint_condition(b: BoundarySubspace) -> BoundarySubspace:
@@ -308,19 +310,19 @@ def index(b: BoundarySubspace) -> int:
     return b.dim - b.space.edge_dim
 
 
-def scalar_kernel_dim(b: BoundarySubspace, rtol: float = linalg.RANK_RTOL) -> int:
+def scalar_kernel_dim(b: BoundarySubspace) -> int:
     """Dimension of the kernel of the scalar operator ``i d/dx`` under ``b``.
 
     Kernel elements are constant on every edge, so the kernel is the
     intersection of ``b`` with the span of constant traces.
     """
     constants = b.space.constant_trace_matrix()
-    return linalg.intersection_dim(constants, b.matrix, rtol)
+    return linalg.intersection_dim(constants, b.matrix)
 
 
-def scalar_cokernel_dim(b: BoundarySubspace, rtol: float = linalg.RANK_RTOL) -> int:
+def scalar_cokernel_dim(b: BoundarySubspace) -> int:
     """Cokernel dimension, computed as the kernel under the adjoint condition."""
-    return scalar_kernel_dim(adjoint_condition(b), rtol)
+    return scalar_kernel_dim(adjoint_condition(b))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ from .graph import DEFAULT_EDGE_CAP, Edge, MetricGraph, Subgraph
 # cancellation dust and dropped.
 COEFF_CLEANUP = 1e-13
 
+# Length ratios are only treated as commensurable up to this denominator;
+# beyond it the lengths are handled as incommensurable (no univariate
+# charpoly, no exact spectrum).
+MAX_DENOMINATOR = 1000
+
 # The secular function is summed over at most this many points at a time,
 # which bounds its (points x terms) phase matrix on long point arrays.
 EVAL_BLOCK = 256
@@ -47,11 +52,11 @@ class MultiPoly:
     def n_vars(self) -> int:
         return len(self.edge_ids)
 
-    def cleaned(self, threshold: float = COEFF_CLEANUP) -> "MultiPoly":
-        """Drop coefficients below ``threshold`` relative to the largest one."""
+    def cleaned(self) -> "MultiPoly":
+        """Drop coefficients below ``COEFF_CLEANUP`` relative to the largest one."""
         if not self.terms:
             return self
-        cut = threshold * max(1.0, max(abs(c) for c in self.terms.values()))
+        cut = COEFF_CLEANUP * max(1.0, max(abs(c) for c in self.terms.values()))
         kept = {m: c for m, c in self.terms.items() if abs(c) > cut}
         return MultiPoly(self.edge_ids, kept)
 
@@ -220,108 +225,34 @@ def reduce_vertex(a: GEndomorphism, vertex_id: str) -> tuple[MetricGraph, GEndom
     return new_graph, GEndomorphism(new_graph, mat)
 
 
-def _scc(n: int, succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a digraph on 0..n-1, Tarjan, iterative."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
-
-
 def split_reducible(a: GEndomorphism) -> list[tuple[frozenset[str], GEndomorphism]]:
     """Finest splitting of the edge set into invariant blocks.
 
     A subset of edges is invariant when the matrix maps values supported on
-    it back into it; the finest decomposition consists of the strongly
-    connected components of the support digraph (an arc from source edge to
-    target edge for every nonzero entry).  Blocks are returned in a
-    topological order of that digraph, so the full matrix is block
+    it back into it.  Edge ``j`` reaches edge ``i`` when a chain of nonzero
+    entries carries a value on ``j`` to ``i``; the reachability matrix is the
+    boolean closure of the support, ``n.bit_length()`` squarings of ``I +
+    support``.  The finest blocks are the classes of mutually reaching
+    edges.  They are returned in an order where every block comes after the
+    blocks that feed it, at each step the one with the smallest leading edge
+    index among those no remaining block feeds, so the full matrix is block
     triangular with the returned blocks on the diagonal: the characteristic
     polynomial factors over the blocks and the spectrum is the union of the
     block spectra.  An irreducible map comes back as a single block.
     """
     g = a.graph
-    n = g.n_edges
-    succ: list[list[int]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(a.matrix)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        succ[j].append(i)
-    comps = _scc(n, succ)
-
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    cross: list[set[int]] = [set() for _ in comps]
-    indeg = [0] * len(comps)
-    for j in range(n):
-        for i in succ[j]:
-            cj, ci = comp_of[j], comp_of[i]
-            if cj != ci and ci not in cross[cj]:
-                cross[cj].add(ci)
-                indeg[ci] += 1
-    # Kahn topological sort, smallest leading edge index first for determinism.
-    order: list[int] = []
-    ready = sorted(
-        (ci for ci in range(len(comps)) if indeg[ci] == 0),
-        key=lambda ci: comps[ci][0],
-    )
-    while ready:
-        ci = ready.pop(0)
-        order.append(ci)
-        for cj in cross[ci]:
-            indeg[cj] -= 1
-            if indeg[cj] == 0:
-                ready.append(cj)
-        ready.sort(key=lambda c: comps[c][0])
-
+    reach = (a.matrix != 0) | np.eye(g.n_edges, dtype=bool)
+    for _ in range(g.n_edges.bit_length()):
+        reach = reach.astype(float) @ reach > 0
+    blocks = sorted({tuple(np.flatnonzero(row)) for row in reach & reach.T})
     out = []
-    for ci in order:
-        comp = comps[ci]
-        ids = frozenset(g.edges[i].id for i in comp)
+    while blocks:
+        # the first block that no other remaining block reaches
+        leads = [b[0] for b in blocks]
+        block = blocks.pop(int(np.argmin(reach[np.ix_(leads, leads)].sum(axis=1))))
+        ids = frozenset(g.edges[i].id for i in block)
         sub = Subgraph(g, ids).induced_graph()
-        idx = [g.edge_index(e.id) for e in sub.edges]
-        block = a.matrix[np.ix_(idx, idx)]
-        out.append((ids, GEndomorphism(sub, block)))
+        out.append((ids, GEndomorphism(sub, a.matrix[np.ix_(block, block)])))
     return out
 
 
@@ -433,16 +364,12 @@ def specialize_univariate(poly: MultiPoly, multipliers) -> np.ndarray:
     return coeffs
 
 
-def detect_commensurable(
-    lengths,
-    max_denominator: int = 10**6,
-    rtol: float = 1e-9,
-) -> tuple[list[int], float] | None:
+def detect_commensurable(lengths) -> tuple[list[int], float] | None:
     """Integer multipliers and a base length reproducing ``lengths``, if any.
 
     Each pairwise ratio to the first length is reconstructed as a fraction
-    with denominator at most ``max_denominator``; when every length is
-    matched within relative ``rtol`` the common refinement ``delta`` and the
+    with denominator at most ``MAX_DENOMINATOR``; when every length is
+    matched within relative ``1e-9`` the common refinement ``delta`` and the
     list of multipliers ``m_e`` with ``l_e = m_e * delta`` are returned,
     otherwise ``None``.
     """
@@ -452,7 +379,7 @@ def detect_commensurable(
     base = lengths[0]
     fracs = []
     for x in lengths:
-        f = Fraction(x / base).limit_denominator(max_denominator)
+        f = Fraction(x / base).limit_denominator(MAX_DENOMINATOR)
         if f <= 0:
             return None
         fracs.append(f)
@@ -462,7 +389,7 @@ def detect_commensurable(
     delta = base / common
     mult = [int(f.numerator * (common // f.denominator)) for f in fracs]
     for m, x in zip(mult, lengths):
-        if abs(m * delta - x) > rtol * x:
+        if abs(m * delta - x) > 1e-9 * x:
             return None
     return mult, delta
 

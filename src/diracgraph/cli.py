@@ -46,7 +46,9 @@ from .jsonio import (
     endomorphism_to_json,
     load_boundary,
     load_graph,
+    load_json,
     multipoly_to_json,
+    parse_boundary,
     parse_decomposition,
     profile_to_json,
     report_to_csv,
@@ -55,7 +57,6 @@ from .jsonio import (
 )
 from .spectrum import (
     MAX_EXPECTED_ROOTS,
-    UNITARY_TOL,
     Window,
     spectrum_complex,
     spectrum_eigenphase,
@@ -73,11 +74,6 @@ from .trails import (
 EXIT_OK = 0
 EXIT_REFUSAL = 1
 EXIT_BAD_INPUT = 2
-
-# Length ratios are only treated as commensurable up to this denominator;
-# beyond it the lengths are handled as incommensurable (no univariate
-# charpoly, no exact spectrum).
-MAX_DENOMINATOR = 1000
 
 # The exact solver eigensolves the subdivided map of size d = sum m_e, at
 # a cost growing as d**3 (about 5 s at d = 1000 on one core); above this
@@ -215,14 +211,14 @@ def cmd_spectrum(args) -> int:
 
     a = _resolve_endomorphism(bc, g)
     lengths = g.lengths()
-    commensurable = detect_commensurable(lengths, max_denominator=MAX_DENOMINATOR)
+    commensurable = detect_commensurable(lengths)
     degree = sum(commensurable[0]) if commensurable is not None else None
 
     mode = args.mode
     if mode is None:
         if args.rect is not None:
             mode = "contour"
-        elif is_unitary(a, UNITARY_TOL):
+        elif is_unitary(a):
             if degree is not None and degree <= MAX_EXACT_DEGREE:
                 expected = (window.re_max - window.re_min) * sum(lengths) / (2 * np.pi)
                 cheap = (
@@ -262,12 +258,6 @@ def cmd_spectrum(args) -> int:
             a, mult, delta, window, residual_tol=args.tol
         )
     elif mode == "scan":
-        if not is_unitary(a, UNITARY_TOL):
-            _warn(
-                "edge map is not unitary; the real-line scan would miss complex "
-                "eigenvalues, use --contour with --rect"
-            )
-            raise DiracGraphError("scan refused for non-unitary edge map")
         report = spectrum_numeric(a, lengths, window, residual_tol=args.tol)
     elif mode == "eigenphase":
         report = spectrum_eigenphase(a, lengths, window, residual_tol=args.tol)
@@ -298,7 +288,7 @@ def cmd_charpoly(args) -> int:
         _emit(payload, args.format, lines)
         return EXIT_OK
 
-    commensurable = detect_commensurable(g.lengths(), max_denominator=MAX_DENOMINATOR)
+    commensurable = detect_commensurable(g.lengths())
     if commensurable is None:
         raise DiracGraphError(
             "edge lengths are not commensurable; a univariate specialization "
@@ -341,16 +331,10 @@ def cmd_trails(args) -> int:
         raise DiracGraphError(
             "trails needs --enumerate or --from-permutation FILE"
         )
-    try:
-        with open(args.from_permutation, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read permutation: {exc}") from exc
+    data = load_json(args.from_permutation, "permutation")
     if isinstance(data, dict) and "trails" in data:
         perm = decomposition_to_permutation(parse_decomposition(data, g))
     else:
-        from .jsonio import parse_boundary
-
         if isinstance(data, dict) and "map" in data and "type" not in data:
             data = {"type": "permutation", **data}
         bc = parse_boundary(data, g)

@@ -89,13 +89,17 @@ def graph_to_json(g: MetricGraph) -> dict:
     }
 
 
-def load_graph(path) -> MetricGraph:
+def load_json(path, what: str):
+    """The JSON document in the file ``path``; ``what`` names it in the error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read graph from {path}: {exc}") from exc
-    return parse_graph(data)
+        raise InputFormatError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def load_graph(path) -> MetricGraph:
+    return parse_graph(load_json(path, "graph"))
 
 
 # -- boundary conditions -------------------------------------------------
@@ -177,12 +181,7 @@ def parse_boundary(data, g: MetricGraph) -> BoundaryInput:
 
 
 def load_boundary(path, g: MetricGraph) -> BoundaryInput:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read boundary condition from {path}: {exc}") from exc
-    return parse_boundary(data, g)
+    return parse_boundary(load_json(path, "boundary condition"), g)
 
 
 def subspace_to_json(b: BoundarySubspace) -> dict:

@@ -1,8 +1,11 @@
 """Small dense linear algebra helpers with explicit rank tolerances.
 
-All rank decisions in the package go through :func:`numeric_rank` so that the
-cutoff policy lives in one place: a singular value counts as nonzero when it
-exceeds ``rtol`` times the largest singular value.
+Every rank decision here (:func:`numeric_rank`, :func:`null_space`,
+:func:`orthonormal_columns` and what is built on them) goes through one
+cutoff rule, ``_rank``: a singular value counts as nonzero when it exceeds
+``rtol`` times the largest singular value.  The spectrum solvers' rank test
+of ``diag(exp(i lambda l)) - A`` measures against the operand scale instead
+and lives in :mod:`diracgraph.spectrum`.
 """
 
 from __future__ import annotations
@@ -17,18 +20,22 @@ RANK_RTOL = 1e-12
 SUBSPACE_TOL = 1e-10
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Count of the singular values ``s`` (descending) above ``rtol * s[0]``."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
 def numeric_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Rank of ``m`` with singular values below ``rtol * smax`` treated as zero."""
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return _rank(np.linalg.svd(m, compute_uv=False), rtol)
 
 
-def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ``{x : m @ x = 0}`` as columns.
 
     Returns an ``(ncols, k)`` array; ``k = ncols - rank(m)``.
@@ -38,11 +45,7 @@ def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     if m.size == 0 or rows == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    return vh[rank:].conj().T
+    return vh[_rank(s, RANK_RTOL):].conj().T
 
 
 def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -51,10 +54,7 @@ def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     if m.shape[1] == 0:
         return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(s > rtol * s[0]))
-    return u[:, :rank]
+    return u[:, : _rank(s, rtol)]
 
 
 def spans_equal(a: np.ndarray, b: np.ndarray, rtol: float = SUBSPACE_TOL) -> bool:

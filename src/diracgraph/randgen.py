@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import BoundarySubspace, GEndomorphism, TraceSpace
-from .graph import Edge, MetricGraph
+from .graph import MetricGraph, graph_from_edges
 from .trails import GPermutation
 
 
@@ -31,12 +31,8 @@ def random_graph(
         tail = pool[rng.integers(0, len(pool))]
         head = pool[rng.integers(0, len(pool))]
         length = 1.0 if unit_lengths else float(rng.uniform(0.5, 2.0))
-        edges.append(Edge(f"e{i + 1}", tail, head, length))
-    seen: dict[str, None] = {}
-    for e in edges:
-        seen.setdefault(e.tail)
-        seen.setdefault(e.head)
-    return MetricGraph(list(seen), edges)
+        edges.append((f"e{i + 1}", tail, head, length))
+    return graph_from_edges(edges)
 
 
 def random_eulerian_graph(
@@ -52,7 +48,7 @@ def random_eulerian_graph(
     trail through all of its edges.
     """
     pool = [f"v{i}" for i in range(1, max_vertices + 1)]
-    edges: list[Edge] = []
+    edges = []
     counter = 1
     budget = int(rng.integers(1, max_edges + 1))
     while budget > 0:
@@ -61,14 +57,10 @@ def random_eulerian_graph(
         for i in range(walk_len):
             tail, head = verts[i], verts[(i + 1) % walk_len]
             length = 1.0 if unit_lengths else float(rng.uniform(0.5, 2.0))
-            edges.append(Edge(f"e{counter}", tail, head, length))
+            edges.append((f"e{counter}", tail, head, length))
             counter += 1
         budget -= walk_len
-    seen: dict[str, None] = {}
-    for e in edges:
-        seen.setdefault(e.tail)
-        seen.setdefault(e.head)
-    return MetricGraph(list(seen), edges)
+    return graph_from_edges(edges)
 
 
 def random_subspace(space: TraceSpace, dim: int, rng: np.random.Generator) -> BoundarySubspace:

@@ -50,15 +50,16 @@ from . import linalg
 
 # Default tolerances: residuals are the smallest singular value of T relative
 # to the operand scale of the rank test, rank decisions are relative SVD
-# cutoffs against the same scale, nearby roots merge within the dedupe
-# radius, and maps count as unitary up to UNITARY_TOL.
+# cutoffs against the same scale, and nearby roots merge within the dedupe
+# radius.
 RESIDUAL_TOL = 1e-10
 RANK_RTOL = 1e-8
 DEDUPE_RADIUS = 1e-7
-UNITARY_TOL = 1e-8
 
-# Refuse real windows expected to contain more roots than this.
+# Refuse real windows expected to contain more roots than this, and exact
+# windows holding more members of the eigenvalue families than that.
 MAX_EXPECTED_ROOTS = 10**5
+MAX_FAMILY_MEMBERS = 5 * 10**5
 
 # Stacked SVD and eigenvalue calls take at most this many matrices at once.
 STACK_CHUNK = 64
@@ -159,22 +160,17 @@ def _t_matrices(a, lengths, lams):
     return phases[..., None] * np.eye(lengths.size) - a.matrix, phases
 
 
-def multiplicity(
-    a: GEndomorphism,
-    lengths,
-    lam: complex,
-    rank_rtol: float = RANK_RTOL,
-) -> tuple[int, np.ndarray]:
+def multiplicity(a: GEndomorphism, lengths, lam: complex) -> tuple[int, np.ndarray]:
     """Eigenvalue multiplicity from the kernel of ``diag(exp(i lam l)) - A``.
 
     Returns the kernel dimension together with an orthonormal kernel basis
     (columns).  The kernel vectors are the edge values of eigenfunctions at
     the edge ends; zero dimension means ``lam`` is not an eigenvalue.
     """
-    return _multiplicities(a, lengths, [lam], rank_rtol)[0][:2]
+    return _multiplicities(a, lengths, [lam])[0][:2]
 
 
-def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
+def _multiplicities(a, lengths, lams):
     """:func:`multiplicity` at every point of ``lams``, by stacked SVDs, plus
     the residual: the smallest singular value relative to the operand scale.
 
@@ -194,7 +190,7 @@ def _multiplicities(a, lengths, lams, rank_rtol: float = RANK_RTOL):
             np.max(sv, axis=1, initial=0.0),
             np.maximum(np.max(np.abs(phases), axis=1, initial=0.0), norm_a),
         )
-        ranks = np.count_nonzero(sv > rank_rtol * scale[:, None], axis=1)
+        ranks = np.count_nonzero(sv > RANK_RTOL * scale[:, None], axis=1)
         for k, rank in enumerate(ranks):
             kernel = vh[k, rank:].conj().T
             out.append((kernel.shape[1], kernel, float(sv[k, -1] / scale[k])))
@@ -214,17 +210,17 @@ def _entry(a, lengths, lam) -> EigenvalueEntry | None:
     return _make_entry(lengths, lam, *_multiplicities(a, lengths, [lam])[0])
 
 
-def _guarded_newton(value, deriv, z0, maxiter: int = 80):
+def _guarded_newton(value, deriv, z0):
     """Newton iteration that never lets the target magnitude increase.
 
     Inside the evaluation-noise basin of a zero the computed value is junk
     and a raw step of ``f/f'`` can be enormous; backtracking rejects
     such steps so the iterate parks at the best point reached.  ``z0`` may
-    be an array: every point iterates, halves its step (at most 10 times)
-    and stops (rejected step, step below ``1e-14`` relative, zero or
-    non-finite derivative) on its own, with ``value`` and ``deriv`` called
-    once per round on the points still moving.  A scalar start returns a
-    scalar.
+    be an array: every point iterates (at most 80 rounds), halves its step
+    (at most 10 times) and stops (rejected step, step below ``1e-14``
+    relative, zero or non-finite derivative) on its own, with ``value`` and
+    ``deriv`` called once per round on the points still moving.  A scalar
+    start returns a scalar.
     """
     z = np.array(z0, dtype=complex, ndmin=1)
     # trial steps may land where the exponentials overflow; the guard
@@ -232,7 +228,7 @@ def _guarded_newton(value, deriv, z0, maxiter: int = 80):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fz = np.asarray(value(z), dtype=complex)
         moving = np.flatnonzero(np.isfinite(np.abs(fz)))
-        for _ in range(maxiter):
+        for _ in range(80):
             if not moving.size:
                 break
             dp = deriv(z[moving])
@@ -455,7 +451,11 @@ def spectrum_exact_commensurable(
     are discarded.  Each root
     ``z`` with argument ``phi`` in ``[0, 2 pi)`` and modulus ``exp(alpha)``
     yields the eigenvalue family ``(phi + 2 pi k - i alpha) / delta`` over
-    all integers ``k``; the report lists the members inside the window.
+    all integers ``k``; the report lists the members inside the window.  The
+    members are counted before any is built, and a window holding more than
+    ``MAX_FAMILY_MEMBERS`` is refused.  For a unitary map on a real window
+    the report's ``winding`` is the eigenphase count of the window widened
+    by ``DEDUPE_RADIUS``, a check on the listed multiplicities.
     """
     window = as_window(window)
     if delta <= 0:
@@ -484,16 +484,33 @@ def spectrum_exact_commensurable(
             "the spectrum in any window is empty"
         )
     period = 2 * math.pi / delta
-    candidates: list[tuple[complex, int]] = []
+    families = []
     for z0, size in groups:
         phi = math.atan2(z0.imag, z0.real) % (2 * math.pi)
-        alpha = math.log(abs(z0))
-        base = (phi - 1j * alpha) / delta
-        k_lo = math.ceil((window.re_min - base.real) / period - 1e-12)
-        k_hi = math.floor((window.re_max - base.real) / period + 1e-12)
-        candidates.extend((base + k * period, size) for k in range(k_lo, k_hi + 1))
+        base = (phi - 1j * math.log(abs(z0))) / delta
+        k_lo = np.ceil((window.re_min - base.real) / period - 1e-12)
+        k_hi = np.floor((window.re_max - base.real) / period + 1e-12)
+        families.append((base, size, k_lo, k_hi))
+    # an index past the largest float makes the count infinite or NaN: refused
+    with np.errstate(invalid="ignore"):
+        members = np.sum([np.maximum(0.0, k_hi - k_lo + 1) for *_, k_lo, k_hi in families])
+    if not members <= MAX_FAMILY_MEMBERS:
+        raise WindowTooLargeError(
+            f"window holds more than {MAX_FAMILY_MEMBERS} members of the "
+            "eigenvalue families; split it into smaller pieces"
+        )
+    candidates = [
+        (base + k * period, size)
+        for base, size, k_lo, k_hi in families
+        for k in range(int(k_lo), int(k_hi) + 1)
+    ]
     entries = _certified_entries(a, lengths, window, candidates, residual_tol, warnings)
-    return SpectrumReport("exact-commensurable", window, entries, tuple(warnings))
+    winding = None
+    if window.is_real_interval and is_unitary(a):
+        lo, hi = window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
+        winding = _window_count(a, lengths, lo, hi)
+        _check_count("eigenphase count", winding, entries, warnings)
+    return SpectrumReport("exact-commensurable", window, entries, tuple(warnings), winding)
 
 
 # -- eigenphase count and locator for unitary maps -----------------------
@@ -526,6 +543,11 @@ def _counts(total: float, x0, x1, p0, p1) -> np.ndarray:
     """
     turns = total * np.subtract(x1, x0) + np.subtract(p1, p0)
     return np.rint(turns / (2 * math.pi)).astype(int)
+
+
+def _window_count(a, lengths, lo: float, hi: float) -> int:
+    """Eigenvalues of a unitary map in ``[lo, hi)``, with multiplicity."""
+    return int(_counts(float(lengths.sum()), lo, hi, *_phase_sums(a, lengths, [lo, hi])))
 
 
 def _phase_newton(a, lengths, lo, hi, p_lo) -> np.ndarray:
@@ -619,7 +641,7 @@ def _real_window(window: Window, lengths, solver: str) -> tuple[float, float, fl
 
 
 def _require_unitary(a) -> None:
-    if not is_unitary(a, UNITARY_TOL):
+    if not is_unitary(a):
         raise DiracGraphError(
             "edge map is not unitary, its spectrum need not be real; "
             "use the contour solver on a rectangle instead"
@@ -735,7 +757,7 @@ def spectrum_numeric(
     # The grid can step over one of two zeros closer than its step; the
     # window's eigenphase count shows the deficit, and the locator's
     # entries for the window replace the scan's.
-    count = int(_counts(total, lo, hi, *_phase_sums(a, lengths, [lo, hi])))
+    count = _window_count(a, lengths, lo, hi)
     if count > sum(e.multiplicity for e in entries):
         warnings = []
         entries, count = _eigenphase_entries(a, lengths, window, residual_tol, warnings)
@@ -919,12 +941,7 @@ def spectrum_complex(
 # -- boundary conditions beyond graphs of edge maps ----------------------
 
 
-def general_eigencondition(
-    b: BoundarySubspace,
-    lengths,
-    lam: complex,
-    rank_rtol: float = RANK_RTOL,
-) -> int:
+def general_eigencondition(b: BoundarySubspace, lengths, lam: complex) -> int:
     """Eigenvalue multiplicity of ``lam`` under an arbitrary boundary subspace.
 
     Solutions of the scalar equation at ``lam`` have traces spanned by
@@ -940,7 +957,7 @@ def general_eigencondition(
     decay = np.exp(-1j * lam * lengths)
     sol = space.embed_start(np.eye(n, dtype=complex)).T
     sol += space.embed_end(np.diag(decay)).T
-    return linalg.intersection_dim(sol, b.matrix, rank_rtol)
+    return linalg.intersection_dim(sol, b.matrix, RANK_RTOL)
 
 
 def eigenfunction_residual(b: BoundarySubspace, f: Eigenfunction, lengths=None) -> float:

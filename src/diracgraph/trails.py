@@ -196,30 +196,25 @@ def loop_count_via_trace(p: GPermutation) -> int:
     return int(round(np.trace(p.to_endomorphism().matrix).real))
 
 
-def _qualifying_trails(lam: float, lengths, rtol: float) -> list[int]:
+def _qualifying_trails(lam: float, lengths) -> list[int]:
     out = []
     for j, L in enumerate(lengths):
         ratio = lam * L / (2 * math.pi)
-        if abs(ratio - round(ratio)) <= rtol * max(1.0, abs(ratio)):
+        if abs(ratio - round(ratio)) <= DIVISIBILITY_RTOL * max(1.0, abs(ratio)):
             out.append(j)
     return out
 
 
-def permutation_spectrum(
-    p: GPermutation,
-    lengths=None,
-    window=(-10.0, 10.0),
-    rtol: float = DIVISIBILITY_RTOL,
-) -> SpectrumReport:
+def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) -> SpectrumReport:
     """Closed-form spectrum of the boundary condition of an edge permutation.
 
     Block diagonalizing over the trail decomposition, a trail of metric
     length ``L_j`` contributes the eigenvalues ``2 pi k / L_j``.  The
     multiplicity of a reported value is the number of trails whose length
     times the value is a whole multiple of ``2 pi`` (within relative
-    ``rtol``); zero always qualifies every trail, so its multiplicity is
-    the trail count.  Eigenfunctions are constant magnitude waves supported
-    on one qualifying trail each.
+    ``DIVISIBILITY_RTOL``); zero always qualifies every trail, so its
+    multiplicity is the trail count.  Eigenfunctions are constant magnitude
+    waves supported on one qualifying trail each.
     """
     g = p.graph
     window = as_window(window)
@@ -254,7 +249,7 @@ def permutation_spectrum(
             j += 1
         i = j
         lam = group[0] if abs(group[0]) > 1e-12 else 0.0
-        qualifying = _qualifying_trails(lam, trail_lengths, rtol)
+        qualifying = _qualifying_trails(lam, trail_lengths)
         if not qualifying:
             continue
         secular = np.prod([np.exp(1j * lam * L) - 1.0 for L in trail_lengths])

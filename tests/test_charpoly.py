@@ -570,16 +570,14 @@ def test_commensurable_simple_ratios():
 
 def test_commensurable_irrational_ratio_rejected():
     # With a bounded denominator no convergent of sqrt(2) is close enough.
-    assert detect_commensurable([1.0, math.sqrt(2)], max_denominator=1000) is None
+    assert detect_commensurable([1.0, math.sqrt(2)]) is None
 
 
-def test_commensurable_huge_denominator_finds_convergent():
-    # The floating point value of sqrt(2) is rational; with the default
-    # denominator bound its continued fraction convergent is accepted.
-    res = detect_commensurable([1.0, math.sqrt(2)])
-    assert res is not None
-    mult, delta = res
-    assert mult[1] * delta == pytest.approx(math.sqrt(2), rel=1e-9)
+def test_commensurable_denominator_bound():
+    # Ratios are reconstructed with denominators up to 1000 and no further.
+    mult, delta = detect_commensurable([1.0, 1.0 + 1 / 997])
+    assert mult == [997, 998] and delta == pytest.approx(1 / 997)
+    assert detect_commensurable([1.0, 1.0 + 1 / 1009]) is None
 
 
 def test_commensurable_absorbs_tiny_noise():

@@ -324,6 +324,17 @@ def test_spectrum_keeps_windows_past_the_locator_bound_on_the_exact_route(tmp_pa
     assert abs(count - 3.5e5 * 2.004 / (2 * math.pi)) < 3
 
 
+def test_spectrum_refuses_exact_windows_it_cannot_list(tmp_path, capsys):
+    # the window is too wide for the locator, so the exact route takes it;
+    # it would list about 1.4e300 family members
+    gp = write_graph(tmp_path, rose(1))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["spectrum", gp, "--bc", bc, "--window", "1e300", "1e301"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_REFUSAL and out == "" and "split it into smaller pieces" in err
+
+
 def test_spectrum_locates_unitary_maps_above_the_edge_cap(tmp_path, capsys):
     # 60 edges with incommensurable lengths: the scan's expansion is capped
     rng = np.random.default_rng(5)

@@ -1,9 +1,12 @@
-"""Differential tests: the spectrum solvers agree where two apply.
+"""Differential tests: the spectrum solvers agree where two apply, and the
+exact spectrum keeps the invariants the theory guarantees.
 
 Graphs are random Eulerian graphs of up to 7 edges with integer length
 multipliers 1-3, so the exact solver applies to every map, or with random
 lengths for the scan against the eigenphase locator; hypothesis draws the
-seeds (derandomized, so every run checks the same cases).
+seeds (derandomized, so every run checks the same cases).  The invariants
+are block splitting (the spectrum of a reducible map is the union of its
+block spectra) and edge relabeling.
 """
 
 import numpy as np
@@ -11,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracgraph import (
+    EigenvalueEntry,
+    GEndomorphism,
+    SpectrumReport,
     Window,
+    graph_from_edges,
+    split_reducible,
     spectrum_complex,
     spectrum_eigenphase,
     spectrum_exact_commensurable,
@@ -20,6 +28,7 @@ from diracgraph import (
 from diracgraph.randgen import (
     random_eulerian_graph,
     random_g_endomorphism,
+    random_graph,
     random_unitary_g_endomorphism,
 )
 
@@ -98,3 +107,51 @@ def test_scan_and_eigenphase_agree_on_incommensurable_maps(seed):
     located = spectrum_eigenphase(a, window=window)
     assert_same_entries(spectrum_numeric(a, window=window), located)
     assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+
+
+def random_rect(rng):
+    re0, im0 = rng.uniform(-5.0, 5.0), -rng.uniform(1.0, 3.0)
+    return Window.rect(re0, re0 + rng.uniform(2.0, 6.0), im0, rng.uniform(0.5, 1.5))
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_block_spectra_make_up_the_spectrum(seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_edges=7, max_vertices=3)
+    a = random_g_endomorphism(g, rng, density=rng.uniform(0.3, 0.9))
+    mult = rng.integers(1, 4, size=g.n_edges)
+    delta, rect = float(rng.uniform(0.5, 1.5)), random_rect(rng)
+    blocks = split_reducible(a)
+    order = [g.edge_index(e.id) for _, block in blocks for e in block.graph.edges]
+    assert sorted(order) == list(range(g.n_edges))
+    # a block only feeds the blocks after it: the permuted matrix is block
+    # lower triangular
+    label = np.repeat(np.arange(len(blocks)), [b.n_edges for _, b in blocks])
+    permuted = a.matrix[np.ix_(order, order)]
+    assert not np.any(permuted[label[:, None] < label[None, :]])
+    union: dict[complex, int] = {}
+    for _, block in blocks:
+        block_mult = [mult[g.edge_index(e.id)] for e in block.graph.edges]
+        for e in spectrum_exact_commensurable(block, block_mult, delta, rect).eigenvalues:
+            near = [z for z in union if abs(z - e.value) <= 1e-8]
+            key = near[0] if near else e.value
+            union[key] = union.get(key, 0) + e.multiplicity
+    merged = SpectrumReport(
+        "union", rect, tuple(EigenvalueEntry(z, m, 0.0) for z, m in union.items())
+    )
+    assert_same_entries(merged, spectrum_exact_commensurable(a, mult, delta, rect))
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_edge_relabeling_keeps_the_spectrum(seed):
+    rng, a, mult, delta = commensurable_map(seed, random_g_endomorphism)
+    g, rect = a.graph, random_rect(rng)
+    perm = rng.permutation(g.n_edges)
+    relabeled = graph_from_edges(
+        [(f"f{k}", g.edges[i].tail, g.edges[i].head) for k, i in enumerate(perm)]
+    )
+    b = GEndomorphism(relabeled, a.matrix[np.ix_(perm, perm)])
+    got = spectrum_exact_commensurable(b, [mult[i] for i in perm], delta, rect)
+    assert_same_entries(got, spectrum_exact_commensurable(a, mult, delta, rect))

@@ -193,6 +193,35 @@ def test_exact_singular_monomial_warns_empty():
     assert any("single monomial" in w for w in rep.warnings)
 
 
+def test_exact_reports_the_eigenphase_count_on_unitary_maps():
+    # rose(6) with the identity: three 6-fold values, two on the window ends
+    g, a = scaled_identity_rose(6, 1.0)
+    rep = spectrum_exact_commensurable(a, [1] * 6, 1.0, (0.0, 4 * math.pi))
+    assert [e.multiplicity for e in rep.eigenvalues] == [6, 6, 6]
+    assert rep.winding == 18 and rep.warnings == ()
+    # no count off the real line or for a map that is not unitary
+    rect = Window.rect(-1, 1, -1, 1)
+    assert spectrum_exact_commensurable(a, [1] * 6, 1.0, rect).winding is None
+    g, a = scaled_identity_rose(2, 2.0)
+    assert spectrum_exact_commensurable(a, [1, 1], 1.0, (-1.0, 1.0)).winding is None
+
+
+def test_exact_refuses_windows_with_too_many_family_members():
+    g, a = scaled_identity_rose(1, 1.0)
+    with pytest.raises(WindowTooLargeError, match="smaller pieces"):
+        spectrum_exact_commensurable(a, [1], 1.0, (1e300, 1e301))
+    # the family index overflows a float: refused, not an OverflowError
+    with pytest.raises(WindowTooLargeError):
+        spectrum_exact_commensurable(a, [1], 100.0, (-1e308, 1e308))
+    with pytest.raises(WindowTooLargeError):
+        spectrum_exact_commensurable(a, [1], 100.0, (1e308, 1.5e308))
+    width = 2 * math.pi * spectrum.MAX_FAMILY_MEMBERS
+    with pytest.raises(WindowTooLargeError):
+        spectrum_exact_commensurable(a, [1], 1.0, (0.5, 0.5 + width * 1.001))
+    rep = spectrum_exact_commensurable(a, [1], 1.0, (0.5, 0.5 + width * 1e-3))
+    assert len(rep.eigenvalues) == spectrum.MAX_FAMILY_MEMBERS // 1000
+
+
 def test_exact_input_validation():
     g = rose(1)
     a = GEndomorphism(g, np.eye(1))
