@@ -83,7 +83,6 @@ from .spectrum import (
     general_eigencondition,
     multiplicity,
     spectrum_complex,
-    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -289,22 +289,6 @@ class CharFunction:
     def eval(self, lam):
         """Value at a complex point or an array of points."""
         return self._sum(lam, self._coeffs)
-
-    def eval_grid(self, start: float, step: float, n: int) -> np.ndarray:
-        """Values at the ``n`` points ``start + j * step``, as one matrix product.
-
-        The points fall into blocks of ``b ~ sqrt(n)`` consecutive ones and
-        ``exp(i (s + j step) L) = exp(i j step L) exp(i s L)``, so a table of
-        the ``b`` offsets times a table of the block starts ``s`` (with the
-        coefficients folded in) gives every value from ``b + n / b``
-        exponentials per term instead of ``n``.
-        """
-        b = isqrt(n) + 1
-        offsets = np.exp(1j * np.multiply.outer(step * np.arange(b), self._mask_lengths))
-        starts = start + step * (b * np.arange(-(-n // b)))
-        heads = np.exp(1j * np.multiply.outer(self._mask_lengths, starts))
-        values = offsets @ (heads * self._coeffs[:, None])
-        return values.T.ravel()[:n]
 
     def eval_deriv(self, lam):
         """Derivative in ``lambda``; each monomial picks up ``i`` times its length."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -59,7 +60,6 @@ from .spectrum import (
     MAX_EXPECTED_ROOTS,
     Window,
     spectrum_complex,
-    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
@@ -77,15 +77,15 @@ EXIT_BAD_INPUT = 2
 
 # The exact solver eigensolves the subdivided map of size d = sum m_e, at
 # a cost growing as d**3 (about 5 s at d = 1000 on one core); above this
-# bound a unitary map goes to the scan (to the eigenphase locator above the
-# scan's edge cap) and any other map is refused.
+# bound a unitary map goes to the eigenphase locator and any other map is
+# refused.
 MAX_EXACT_DEGREE = 1000
 
 # The eigenphase locator costs about EIGENPHASE_COST * n**3 per expected
 # eigenvalue of the window; a unitary map within the degree bound goes to
 # it when that is below the exact solver's d**3 and the window is one the
 # locator takes (at most MAX_EXPECTED_ROOTS eigenvalues).
-EIGENPHASE_COST = 128
+EIGENPHASE_COST = 8
 
 
 def _emit(payload, fmt: str, pretty_lines=None) -> None:
@@ -96,7 +96,7 @@ def _emit(payload, fmt: str, pretty_lines=None) -> None:
     if fmt == "csv" and isinstance(payload, str):
         sys.stdout.write(payload)
         return
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, separators=(",", ":")))
 
 
 def _warn(message: str) -> None:
@@ -219,17 +219,14 @@ def cmd_spectrum(args) -> int:
         if args.rect is not None:
             mode = "contour"
         elif is_unitary(a):
+            mode = "eigenphase"
             if degree is not None and degree <= MAX_EXACT_DEGREE:
                 expected = (window.re_max - window.re_min) * sum(lengths) / (2 * np.pi)
-                cheap = (
+                if not (
                     expected <= MAX_EXPECTED_ROOTS
                     and EIGENPHASE_COST * expected * g.n_edges**3 < degree**3
-                )
-                mode = "eigenphase" if cheap else "exact"
-            else:
-                # ROADMAP item 1 has the timings for moving the maps within
-                # the scan's edge cap to the locator too, and what holds it up.
-                mode = "eigenphase" if g.n_edges > DEFAULT_EDGE_CAP else "scan"
+                ):
+                    mode = "exact"
         elif degree is not None and degree <= MAX_EXACT_DEGREE:
             mode = "exact"
         elif degree is not None:
@@ -246,21 +243,19 @@ def cmd_spectrum(args) -> int:
     if mode == "exact":
         if commensurable is None:
             raise DiracGraphError(
-                "edge lengths are not commensurable; use --scan or --contour"
+                "edge lengths are not commensurable; use --contour"
             )
         if degree > MAX_EXACT_DEGREE:
             raise DiracGraphError(
                 f"exact solver degree {degree} exceeds {MAX_EXACT_DEGREE}; "
-                "use --scan or --contour"
+                "use --contour"
             )
         mult, delta = commensurable
         report = spectrum_exact_commensurable(
             a, mult, delta, window, residual_tol=args.tol
         )
-    elif mode == "scan":
-        report = spectrum_numeric(a, lengths, window, residual_tol=args.tol)
     elif mode == "eigenphase":
-        report = spectrum_eigenphase(a, lengths, window, residual_tol=args.tol)
+        report = spectrum_numeric(a, lengths, window, residual_tol=args.tol)
     else:
         if rect is None:
             raise DiracGraphError("contour solver needs --rect RE0 RE1 IM0 IM1")
@@ -411,8 +406,18 @@ def cmd_selfadjoint(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative number as a value: argparse's own pattern takes
+    ``-5`` and ``-.5`` but sees ``-1e3`` as an unknown option, so a window
+    bound such as ``--window -1e3 5`` would fail.  Subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracgraph",
         description="Spectral analysis of first order operators on metric digraphs.",
     )
@@ -453,8 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         f"the eigenphase locator when {EIGENPHASE_COST} * expected * n**3 < "
         "d**3 (expected = window width * total length / 2 pi, n edges) and "
         f"expected <= {MAX_EXPECTED_ROOTS}, else to the exact solver; any "
-        "other unitary map goes to the scan, or to the eigenphase locator "
-        f"above {DEFAULT_EDGE_CAP} edges. Any other map "
+        "other unitary map goes to the eigenphase locator. Any other map "
         f"with d <= {MAX_EXACT_DEGREE} goes to the exact solver.",
     )
     p.add_argument("graph")
@@ -462,8 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="mode", action="store_const", const="exact",
                        help="force the commensurable-lengths solver")
-    group.add_argument("--scan", dest="mode", action="store_const", const="scan",
-                       help="force the real-line scan (unitary maps)")
     group.add_argument("--contour", dest="mode", action="store_const", const="contour",
                        help="force the complex contour solver")
     p.add_argument("--window", nargs=2, type=float, default=(-10.0, 10.0),

@@ -19,7 +19,7 @@ class EnumerationCapExceeded(DiracGraphError):
 
 
 class WindowTooLargeError(DiracGraphError):
-    """Raised when a spectral window would contain too many roots to scan."""
+    """Raised when a spectral window would contain too many roots to list."""
 
 
 class ContourError(DiracGraphError):

@@ -3,7 +3,7 @@
 The point spectrum of the realization attached to the graph of an edge map
 ``A`` consists of the zeros of ``det T(lambda)``, ``T(lambda) =
 diag(exp(i lambda l)) - A``, the secular function ``P_A(exp(i lambda l_1),
-.., exp(i lambda l_n))``.  Four solvers cover the practical cases, and each
+.., exp(i lambda l_n))``.  Three solvers cover the practical cases, and each
 one only proposes candidate zeros:
 
 * commensurable lengths make ``z = exp(i lambda delta)`` an eigenvalue of
@@ -11,19 +11,15 @@ one only proposes candidate zeros:
   eigenvalue families (exact route),
 * unitary maps have real spectrum: ``lambda`` is an eigenvalue where the
   unitary ``S(lambda) = diag(exp(-i lambda l)) A`` has the eigenvalue 1, and
-  the eigenphases of ``S`` count the eigenvalues of any real cell exactly;
-  the eigenphase locator bisects cells by that count and pins each
-  eigenvalue by Newton on its crossing eigenphase,
-* unitary maps also go to a grid scan of the secular function on a real
-  window followed by Newton polishing; the scan, the one solver that
-  expands ``P_A``, works on whole arrays (grid values from one blocked
-  product, minima by a mask, one array Newton iteration), and where the
-  eigenphase count of its window shows the grid stepped over a zero it
-  reports the locator's values instead,
+  the eigenphases of ``S``, read off its Cayley transform, count the
+  eigenvalues of any real cell exactly; the eigenphase locator bisects
+  cells by that count and pins each eigenvalue by bracketed Newton on
+  ``det(I - S)``,
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
-All four end in one shared step.  Nearby candidates are grouped (the
+Every route works on ``n x n`` or ``d x d`` matrices; none expands ``P_A``.
+All three end in one shared step.  Nearby candidates are grouped (the
 group size is a multiplicity hint), every group is certified by the kernel
 dimension of ``T(lambda)`` via SVD (one stacked call for the strict test of
 all candidates), escalating through Newton polishes on ``det T`` for
@@ -44,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySubspace, GEndomorphism, is_unitary
-from .charpoly import char_function
+# Not called here: perfbench/spans.py wraps spectrum.char_function when it traces.
+from .charpoly import char_function  # noqa: F401
 from .errors import ContourError, DiracGraphError, WindowTooLargeError
 from . import linalg
 
@@ -64,17 +61,18 @@ MAX_FAMILY_MEMBERS = 5 * 10**5
 # Stacked SVD and eigenvalue calls take at most this many matrices at once.
 STACK_CHUNK = 64
 
-# Eigenphase count cells are bisected down to CELL_FLOOR times 1 + |x|; the
-# crossing eigenphase of a cell holding one eigenvalue gets at most
-# MAX_PHASE_STEPS Newton steps.
+# Eigenphase count cells are bisected down to CELL_FLOOR times 1 + |x|; a
+# cell holding one eigenvalue gets at most MAX_PHASE_STEPS Newton steps.
 CELL_FLOOR = 1e-9
 MAX_PHASE_STEPS = 50
 
 # Contour panels: QUAD_ORDER Gauss-Legendre nodes, at most MAX_HALVINGS
-# halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.
+# halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.  A
+# rectangle whose first round needs more than MAX_PANELS panels is refused.
 QUAD_ORDER = 16
 MAX_HALVINGS = 6
 PANEL_FLOOR = 1e-9
+MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -215,48 +213,38 @@ def _guarded_newton(value, deriv, z0):
 
     Inside the evaluation-noise basin of a zero the computed value is junk
     and a raw step of ``f/f'`` can be enormous; backtracking rejects
-    such steps so the iterate parks at the best point reached.  ``z0`` may
-    be an array: every point iterates (at most 80 rounds), halves its step
-    (at most 10 times) and stops (rejected step, step below ``1e-14``
-    relative, zero or non-finite derivative) on its own, with ``value`` and
-    ``deriv`` called once per round on the points still moving.  A scalar
-    start returns a scalar.
+    such steps so the iterate parks at the best point reached.  At most 80
+    steps, each halved at most 10 times; the iteration stops at a rejected
+    step, a step below ``1e-14`` relative, or a zero or non-finite
+    derivative.
     """
-    z = np.array(z0, dtype=complex, ndmin=1)
+    # numpy scalars, not complex: Python rounds complex division differently
+    z = np.complex128(z0)
     # trial steps may land where the exponentials overflow; the guard
     # rejects non-finite values, so the numpy warnings are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fz = np.asarray(value(z), dtype=complex)
-        moving = np.flatnonzero(np.isfinite(np.abs(fz)))
-        for _ in range(80):
-            if not moving.size:
+        fz = np.complex128(value(z))
+        for _ in range(80 if np.isfinite(np.abs(fz)) else 0):
+            dp = np.complex128(deriv(z))
+            step = fz / dp
+            if dp == 0 or not np.isfinite(step):
                 break
-            dp = deriv(z[moving])
-            step = fz[moving] / dp
-            keep = (dp != 0) & np.isfinite(step)
-            moving, step = moving[keep], step[keep]
-            base = np.abs(fz[moving])
-            trying = np.arange(moving.size)
             for _damp in range(10):
-                if not trying.size:
+                fc = np.complex128(value(z - step))
+                if np.abs(fc) <= np.abs(fz):  # False for NaN
+                    z, fz = z - step, fc
                     break
-                idx = moving[trying]
-                cand = z[idx] - step[trying]
-                fc = np.asarray(value(cand), dtype=complex)
-                ok = np.abs(fc) <= base[trying]  # False for NaN
-                z[idx[ok]], fz[idx[ok]] = cand[ok], fc[ok]
-                step[trying[~ok]] /= 2
-                trying = trying[~ok]
-            accepted = np.ones(moving.size, dtype=bool)
-            accepted[trying] = False
-            moving, step = moving[accepted], step[accepted]
-            moving = moving[np.abs(step) > 1e-14 * (1.0 + np.abs(z[moving]))]
-    return z if np.ndim(z0) else complex(z[0])
+                step /= 2
+            else:
+                break
+            if np.abs(step) <= 1e-14 * (1.0 + np.abs(z)):
+                break
+    return complex(z)
 
 
-def _polish(a, lengths, z0, mult: int = 1):
+def _polish(a, lengths, z0: complex, mult: int = 1) -> complex:
     """Guarded Newton on ``det T`` with the step ``mult det T / (det T)'``,
-    quadratic at a zero of multiplicity ``mult``; ``z0`` may be an array.
+    quadratic at a zero of multiplicity ``mult``.
 
     ``(det T)' = sum_e i l_e exp(i lam l_e) adj(T)_ee`` takes the adjugate
     from the SVD ``T = U S V*`` as ``det(U) det(V*) V adj(S) U*``, where
@@ -267,12 +255,14 @@ def _polish(a, lengths, z0, mult: int = 1):
     others = ~np.eye(lengths.size, dtype=bool)
 
     def deriv(z):
-        t, phases = _t_matrices(a, lengths, z)
+        # a stack of one: einsum sums in an order set by the operand shapes,
+        # and this shape reproduces the values earlier versions reported
+        t, phases = _t_matrices(a, lengths, [z])
         u, s, vh = np.linalg.svd(t)
         adj_s = np.prod(np.where(others, s[..., None, :], 1.0), axis=-1)
         adj = np.einsum("...ie,...i,...ei->...e", vh.conj(), adj_s, u.conj())
         adj *= (np.linalg.det(u) * np.linalg.det(vh))[..., None]
-        return np.sum(1j * lengths * phases * adj, axis=-1) / mult
+        return np.sum(1j * lengths * phases * adj, axis=-1)[0] / mult
 
     return _guarded_newton(lambda z: np.linalg.det(_t_matrices(a, lengths, z)[0]), deriv, z0)
 
@@ -353,12 +343,10 @@ def _certified_entries(
     *,
     pad: float = 0.0,
     real_axis: bool = False,
-    quiet=(),
 ) -> tuple[EigenvalueEntry, ...]:
     """The step every solver ends in: certify, filter, collapse.
 
-    ``candidates`` holds ``(point, hint)`` pairs; ``quiet`` holds more of
-    them whose rank rejection is not warned.  Candidates and certified
+    ``candidates`` holds ``(point, hint)`` pairs.  Candidates and certified
     values both have to lie in the window widened by ``pad +
     DEDUPE_RADIUS``.  Every candidate gets the strict rank test in one
     stacked call; only those it rejects or finds multiple go through
@@ -366,26 +354,20 @@ def _certified_entries(
     ``residual_tol`` are warned and the candidate dropped; a hint above the
     certified kernel dimension is warned as a defective zero.  Certified
     values within ``DEDUPE_RADIUS`` of a kept one are collapsed into it in
-    a single sorted pass: scattered roots of one zero, or neighbouring grid
-    minima in its flat noise basin, can all certify to the same eigenvalue.
+    a single sorted pass: scattered roots of one zero can all certify to the
+    same eigenvalue.
     """
     slack = pad + DEDUPE_RADIUS
-    tried = [
-        (complex(lam), hint, loud)
-        for group, loud in ((candidates, True), (quiet, False))
-        for lam, hint in group
-        if window.contains(lam, slack)
-    ]
-    points = np.array([lam for lam, _, _ in tried], dtype=complex)
+    tried = [(complex(lam), hint) for lam, hint in candidates if window.contains(lam, slack)]
+    points = np.array([lam for lam, _ in tried], dtype=complex)
     strict = _multiplicities(a, lengths, points)
     entries = []
-    for (lam, hint, loud), found in zip(tried, strict):
+    for (lam, hint), found in zip(tried, strict):
         entry = _make_entry(lengths, lam, *found)
         if entry is None or entry.multiplicity > 1:
             entry = _certify(a, lengths, lam, hint, real_axis, entry)
         if entry is None:
-            if loud:
-                warnings.append(f"candidate {lam:.6g} rejected by rank check")
+            warnings.append(f"candidate {lam:.6g} rejected by rank check")
             continue
         if not window.contains(entry.value, slack):
             continue
@@ -513,7 +495,7 @@ def spectrum_exact_commensurable(
     return SpectrumReport("exact-commensurable", window, entries, tuple(warnings), winding)
 
 
-# -- eigenphase count and locator for unitary maps -----------------------
+# -- eigenphase locator for unitary maps ---------------------------------
 
 
 def _quantum_maps(a, lengths, xs) -> np.ndarray:
@@ -523,12 +505,25 @@ def _quantum_maps(a, lengths, xs) -> np.ndarray:
 
 def _phase_sums(a, lengths, xs) -> np.ndarray:
     """Sum of the eigenphases of ``S(x)`` in ``[0, 2 pi)`` at every point of
-    ``xs``, from ``eigvals`` on ``STACK_CHUNK`` matrices at a time."""
+    ``xs``, ``STACK_CHUNK`` matrices at a time.
+
+    The Cayley transform ``C = i (I + S)^-1 (I - S)`` of the unitary ``S``
+    is Hermitian with the eigenvalues ``tan(theta / 2)`` (Horn & Johnson,
+    *Matrix Analysis*, section 2.1), so one stacked ``solve`` and
+    ``eigvalsh`` of its Hermitian part give the phases ``2 arctan(t)``.  A
+    chunk where some ``I + S`` is exactly singular takes ``eigvals(S)``.
+    """
     xs = np.asarray(xs, dtype=float)
+    eye = np.eye(lengths.size)
     sums = np.empty(xs.size)
     for s in range(0, xs.size, STACK_CHUNK):
-        w = np.linalg.eigvals(_quantum_maps(a, lengths, xs[s : s + STACK_CHUNK]))
-        sums[s : s + STACK_CHUNK] = np.mod(np.angle(w), 2 * math.pi).sum(axis=1)
+        q = _quantum_maps(a, lengths, xs[s : s + STACK_CHUNK])
+        try:
+            c = 1j * np.linalg.solve(eye + q, eye - q)
+            theta = 2 * np.arctan(np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2))
+        except np.linalg.LinAlgError:
+            theta = np.angle(np.linalg.eigvals(q))
+        sums[s : s + STACK_CHUNK] = np.mod(theta, 2 * math.pi).sum(axis=1)
     return sums
 
 
@@ -553,38 +548,41 @@ def _window_count(a, lengths, lo: float, hi: float) -> int:
 def _phase_newton(a, lengths, lo, hi, p_lo) -> np.ndarray:
     """The eigenvalue in each cell ``[lo, hi)`` holding one, all cells at once.
 
-    At ``x`` each eigenphase ``theta`` of ``S(x)`` in ``(-pi, pi]`` turns
-    clockwise at the rate ``v* diag(l) v`` of its eigenvector ``v``
-    (Hellmann-Feynman; Barra & Gaspard, J. Stat. Phys. 101 (2000)), so
-    Newton on the crossing phase steps to ``x + theta / rate``, the predicted
-    crossing inside the cell nearest ``x``.  The phase sum at ``x`` counts
-    ``[lo, x)`` and so shrinks the cell to the side holding the eigenvalue;
-    a step leaving the shrunk cell is replaced by its midpoint.
+    With ``P(lo)`` the phase sum at ``lo`` and ``n`` edges, ``f(x) = det(I -
+    S(x)) exp(-i (P(lo) - L (x - lo)) / 2) / (-i)^n`` is ``2^n`` times the
+    product of ``sin(theta / 2)`` over the eigenphases: real, with the sign
+    ``(-1)^c`` for the ``c`` eigenvalues in ``[lo, x)``.  The sign of
+    ``slogdet`` shrinks the cell to the side holding the eigenvalue, and
+    ``f / f' = -1 / Im sum_e l_e G_ee``, ``G = (I - S(x))^-1`` (Barra &
+    Gaspard, J. Stat. Phys. 101 (2000)), gives the Newton step; a step
+    leaving the shrunk cell, or a singular ``I - S``, is replaced by its
+    midpoint.
     """
-    lo, hi, p_lo = (np.array(c, dtype=float) for c in (lo, hi, p_lo))
-    total = float(lengths.sum())
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    start, total, n = lo.copy(), float(lengths.sum()), lengths.size
+    eye = np.eye(n)
     x = (lo + hi) / 2
     active = np.arange(x.size)
-    for _ in range(MAX_PHASE_STEPS):
-        if not active.size:
-            break
-        xa, la, ha = x[active], lo[active], hi[active]
-        w, v = np.linalg.eig(_quantum_maps(a, lengths, xa))
-        theta = np.angle(w)
-        target = xa[:, None] + theta / np.einsum("e,kej->kj", lengths, np.abs(v) ** 2)
-        inside = (target >= la[:, None]) & (target <= ha[:, None])
-        reach = np.where(inside, np.abs(target - xa[:, None]), np.inf)
-        pick = np.argmin(reach, axis=1)
-        rows = np.arange(active.size)
-        new = np.where(np.isfinite(reach[rows, pick]), target[rows, pick], (la + ha) / 2)
-        done = np.abs(new - xa) <= 1e-12 * (1 + np.abs(xa))
-        p = np.mod(theta, 2 * math.pi).sum(axis=1)
-        right = _counts(total, la, xa, p_lo[active], p) <= 0
-        lo[active], p_lo[active] = np.where(right, xa, la), np.where(right, p, p_lo[active])
-        hi[active] = np.where(right, ha, xa)
-        stray = ~done & ((new < lo[active]) | (new > hi[active]))
-        x[active] = np.where(stray, (lo[active] + hi[active]) / 2, new)
-        active = active[~done]
+    # a step of 1 / 0 is infinite and lands outside the cell
+    with np.errstate(divide="ignore"):
+        for _ in range(MAX_PHASE_STEPS):
+            if not active.size:
+                break
+            xa = x[active]
+            m = eye - _quantum_maps(a, lengths, xa)
+            sign, _ = np.linalg.slogdet(m)
+            reference = p_lo[active] - total * (xa - start[active])
+            below = (sign * np.exp(-0.5j * reference) * 1j**n).real > 0
+            lo[active] = np.where(below, xa, lo[active])
+            hi[active] = np.where(below, hi[active], xa)
+            try:
+                new = xa + 1 / np.einsum("e,kee->k", lengths, np.linalg.inv(m)).imag
+            except np.linalg.LinAlgError:
+                new = np.full(xa.size, np.nan)
+            done = np.abs(new - xa) <= 1e-12 * (1 + np.abs(xa))
+            inside = (new >= lo[active]) & (new <= hi[active])
+            x[active] = np.where(inside, new, (lo[active] + hi[active]) / 2)
+            active = active[~done]
     return x
 
 
@@ -594,8 +592,8 @@ def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
 
     Cells holding more than one are bisected, all at once, until each holds
     one or is narrower than ``CELL_FLOOR (1 + |x|)``; such a narrow cell is
-    one candidate hinted at its count, the others go to eigenphase Newton,
-    ``STACK_CHUNK`` cells at a time.
+    one candidate hinted at its count, the others go to
+    :func:`_phase_newton`, ``STACK_CHUNK`` cells at a time.
     """
     total = float(lengths.sum())
     cells = [np.asarray(c)[np.asarray(count) > 0] for c in (x0, x1, p0, p1, count)]
@@ -625,11 +623,11 @@ def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
     return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
 
 
-def _real_window(window: Window, lengths, solver: str) -> tuple[float, float, float]:
+def _real_window(window: Window, lengths) -> tuple[float, float, float]:
     """Checked bounds of a real window widened by ``DEDUPE_RADIUS``, and its
     expected eigenvalue count ``width L / 2 pi``."""
     if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
-        raise ValueError(f"{solver} solver needs a window containing the real line")
+        raise ValueError("real-axis solver needs a window containing the real line")
     width = window.re_max - window.re_min
     expected = width * float(np.sum(lengths)) / (2 * math.pi)
     if expected > MAX_EXPECTED_ROOTS:
@@ -648,7 +646,7 @@ def _require_unitary(a) -> None:
         )
 
 
-def spectrum_eigenphase(
+def spectrum_numeric(
     a: GEndomorphism,
     lengths=None,
     window=(-10.0, 10.0),
@@ -659,110 +657,32 @@ def spectrum_eigenphase(
 
     ``lambda`` is an ``m``-fold eigenvalue exactly when ``S(lambda) =
     diag(exp(-i lambda l)) A`` has the eigenvalue 1 with multiplicity ``m``.
-    Phase sums at the ends of about four cells per expected eigenvalue, from
-    stacked ``eigvals`` calls, count the eigenvalues in each cell exactly
-    (:func:`_counts`); cells are bisected until each holds one, which Newton
-    on the crossing eigenphase pins, or is too narrow to split, which is one
-    multiple candidate.  The cost grows with the eigenvalue count times
-    ``n**3``, with no polynomial expansion and no edge cap.  The report's
-    ``winding`` is the count of the window widened by ``DEDUPE_RADIUS``, a
-    check on the listed multiplicities.
-    """
-    window = as_window(window)
-    lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
-    _require_unitary(a)
-    warnings: list[str] = []
-    entries, winding = _eigenphase_entries(a, lengths, window, residual_tol, warnings)
-    _check_count("winding number", winding, entries, warnings)
-    return SpectrumReport("eigenphase", window, entries, tuple(warnings), winding=winding)
-
-
-def _eigenphase_entries(a, lengths, window, residual_tol, warnings):
-    """:func:`spectrum_eigenphase`'s certified entries, and the count of the
-    window widened by ``DEDUPE_RADIUS``."""
-    lo, hi, expected = _real_window(window, lengths, "eigenphase")
-    xs = np.linspace(lo, hi, max(2, math.ceil(4 * expected)) + 1)
-    p = _phase_sums(a, lengths, xs)
-    count = _counts(float(lengths.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
-    candidates = _locate(a, lengths, xs[:-1], xs[1:], p[:-1], p[1:], count)
-    entries = _certified_entries(
-        a, lengths, window, candidates, residual_tol, warnings, real_axis=True
-    )
-    return entries, int(count.sum())
-
-
-# -- real line scan for unitary maps -------------------------------------
-
-
-def spectrum_numeric(
-    a: GEndomorphism,
-    lengths=None,
-    window=(-10.0, 10.0),
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-) -> SpectrumReport:
-    """Real spectrum of a unitary edge map on a real window, by scan and polish.
-
-    The secular function is sampled on a grid fine enough that no zero can
-    hide between samples (its derivative is bounded by the total length
-    times the coefficient sum), by :meth:`CharFunction.eval_grid`.  Local
-    minima of the magnitude below a promotion threshold derived from that
-    bound are polished by one array Newton iteration, grouped, and
-    confirmed by the SVD rank test; a minimum whose Newton limit leaves the
-    real axis is tried as it stands.  Two zeros closer than the grid step
-    can share one minimum: when the eigenphase count of the window exceeds
-    the certified multiplicities, the report holds what
-    :func:`spectrum_eigenphase` finds in the window instead, and a count
-    still unmet is warned.  For a map
+    Phase sums at the ends of one cell per expected eigenvalue, from stacked
+    Cayley transforms (:func:`_phase_sums`), count the eigenvalues in each
+    cell exactly (:func:`_counts`); cells are bisected until each holds one,
+    which bracketed Newton on ``det(I - S)`` pins, or is too narrow to split,
+    which is one multiple candidate.  The cost grows with the eigenvalue
+    count times ``n**3``, with no polynomial expansion and no edge cap.  The
+    report's ``winding`` is the count of the window widened by
+    ``DEDUPE_RADIUS``, a check on the listed multiplicities.  For a map
     that is not unitary the spectrum need not be real and this solver
     refuses; use the contour solver instead.
     """
     window = as_window(window)
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
-    lo, hi, _ = _real_window(window, lengths, "scan")
+    lo, hi, expected = _real_window(window, lengths)
     _require_unitary(a)
-    cf = char_function(a, lengths)
-    total = cf.total_length
-    width = window.re_max - window.re_min
-
+    xs = np.linspace(lo, hi, max(1, math.ceil(expected)) + 1)
+    p = _phase_sums(a, lengths, xs)
+    count = _counts(float(lengths.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
+    candidates = _locate(a, lengths, xs[:-1], xs[1:], p[:-1], p[1:], count)
     warnings: list[str] = []
-    step = min(0.01, math.pi / (4 * total)) if total > 0 else 0.01
-    n_steps = max(2, int(math.ceil(width / step)) + 1)
-    spacing = width / (n_steps - 1)
-    vals = np.abs(cf.eval_grid(window.re_min, spacing, n_steps))
-    scale = cf.scale
-    # A zero within half a grid step of a sample keeps the sampled magnitude
-    # below the derivative bound times that distance; promote generously and
-    # let the rank test reject false alarms.
-    threshold = scale * max(1e-3, total * step)
-    padded = np.concatenate(([np.inf], vals, [np.inf]))
-    is_min = (vals <= padded[:-2]) & (vals <= padded[2:]) & (vals < threshold)
-    minima = window.re_min + spacing * np.flatnonzero(is_min)
-
-    limits = _guarded_newton(cf.eval, cf.eval_deriv, minima)
-    # A unitary spectrum is real, but inside the noise plateau of an m-fold
-    # zero the Newton limit drifts off axis by about eps**(1/m); gate
-    # generously.  When even that gate fails (every limit from the plateau
-    # of a high-order zero can), the grid minimum itself is a quiet
-    # candidate: certification polishes it or drops it without a warning.
-    on_axis = np.abs(limits.imag) <= 1e-3
-    # Neighbouring grid minima polish to the same zero: their group size is
-    # no multiplicity evidence, so every group is hinted as simple.
-    candidates = [(x, 1) for x, _ in _group(limits.real[on_axis], DEDUPE_RADIUS)]
-    stalled = [(x, 1) for x in minima[~on_axis]]
     entries = _certified_entries(
-        a, lengths, window, candidates, residual_tol, warnings,
-        real_axis=True, quiet=stalled,
+        a, lengths, window, candidates, residual_tol, warnings, real_axis=True
     )
-    # The grid can step over one of two zeros closer than its step; the
-    # window's eigenphase count shows the deficit, and the locator's
-    # entries for the window replace the scan's.
-    count = _window_count(a, lengths, lo, hi)
-    if count > sum(e.multiplicity for e in entries):
-        warnings = []
-        entries, count = _eigenphase_entries(a, lengths, window, residual_tol, warnings)
-    _check_count("eigenphase count", count, entries, warnings)
-    return SpectrumReport("scan", window, entries, tuple(warnings))
+    winding = int(count.sum())
+    _check_count("winding number", winding, entries, warnings)
+    return SpectrumReport("eigenphase", window, entries, tuple(warnings), winding=winding)
 
 
 # -- contour solver for general maps -------------------------------------
@@ -803,6 +723,11 @@ def _quadrature(a, lengths, ends: np.ndarray, floor: float):
     return z.ravel(), w.ravel(), tinv.reshape(-1, n, n), dlog.ravel()
 
 
+def _panel_step(lengths) -> float:
+    """Length of the first round's contour panels."""
+    return min(1.0, 2.0 / lengths.sum())
+
+
 def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
     """Zero count and zero estimates inside a rectangle by Beyn's method.
 
@@ -817,7 +742,7 @@ def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
     """
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
     centre, rho = (corners[0] + corners[2]) / 2, abs(corners[2] - corners[0]) / 2
-    h = min(1.0, 2.0 / lengths.sum())
+    h = _panel_step(lengths)
 
     def integrate(step):
         ends = []
@@ -905,7 +830,10 @@ def spectrum_complex(
     grouped by the rank test hint a multiple zero, single ones are polished
     by Newton on ``det T``.  If a zero sits on the contour the rectangle is widened
     slightly and retried, up to five times.  The report's ``winding`` field
-    carries the count as a check on the listed multiplicities.
+    carries the count as a check on the listed multiplicities.  A rectangle
+    expected to hold more than ``MAX_EXPECTED_ROOTS`` zeros on the real
+    axis (``width L / 2 pi``), or whose first round needs more than
+    ``MAX_PANELS`` panels, is refused before anything is integrated.
     """
     if rect is None:
         raise ValueError("contour solver needs a rectangle")
@@ -916,6 +844,13 @@ def spectrum_complex(
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
     warnings: list[str] = []
     re0, re1, im0, im1 = bounds
+    expected = (re1 - re0) * float(lengths.sum()) / (2 * math.pi)
+    panels = 2 * ((re1 - re0) + (im1 - im0)) / _panel_step(lengths)
+    if not (expected <= MAX_EXPECTED_ROOTS and panels <= MAX_PANELS):
+        raise WindowTooLargeError(
+            f"rectangle needs about {panels:.2e} contour panels and holds about "
+            f"{expected:.2e} eigenvalues; split it into smaller pieces"
+        )
     size = max(re1 - re0, im1 - im0)
     pad = 0.0
     for attempt in range(5):

@@ -2,10 +2,12 @@
 
 Each helper computes its answer the slow, direct way and shares no code
 with the routine it checks: term-by-term polynomial evaluation, the secular
-function summed straight from cycle collections, and edge connectivity by
-trying every removal subset.
+function summed straight from cycle collections, edge connectivity by
+trying every removal subset, and real eigenvalues by bisecting on the
+eigenphase count of plain ``eigvals``.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -101,3 +103,41 @@ def edge_connectivity_bruteforce(g, mode: str = "directed") -> int:
             if not connected(remaining):
                 return k
     return g.n_edges
+
+
+def real_eigenvalues_by_bisection(a, lengths, lo: float, hi: float, tol: float = 1e-11):
+    """Eigenvalues of a unitary edge map in ``[lo, hi)`` as sorted ``(centre,
+    count)`` pairs, one cell at a time.
+
+    ``S(x) = diag(exp(-i x l)) A`` is unitary; its eigenphases turn clockwise
+    with summed rate ``L``, and each eigenvalue in a cell ``[x0, x1)`` wraps
+    one of them from 0 to ``2 pi``, so the cell holds ``(L (x1 - x0) + sum
+    theta(x1) - sum theta(x0)) / 2 pi`` eigenvalues, every ``theta`` from
+    ``np.linalg.eigvals`` taken in ``[0, 2 pi)``.  Cells holding any are
+    halved until narrower than ``tol``; two eigenvalues closer than that
+    come back as one cell.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    total = float(lengths.sum())
+
+    def phase_sum(x):
+        w = np.linalg.eigvals(np.diag(np.exp(-1j * x * lengths)) @ a.matrix)
+        return float(np.sum(np.mod(np.angle(w), 2 * math.pi)))
+
+    def count(x0, p0, x1, p1):
+        return round((total * (x1 - x0) + p1 - p0) / (2 * math.pi))
+
+    found = []
+    stack = [(lo, phase_sum(lo), hi, phase_sum(hi))]
+    while stack:
+        x0, p0, x1, p1 = stack.pop()
+        c = count(x0, p0, x1, p1)
+        if c == 0:
+            continue
+        if x1 - x0 < tol:
+            found.append(((x0 + x1) / 2, c))
+            continue
+        mid = (x0 + x1) / 2
+        pm = phase_sum(mid)
+        stack += [(x0, p0, mid, pm), (mid, pm, x1, p1)]
+    return sorted(found)

@@ -7,7 +7,6 @@ import pytest
 
 from diracgraph import (
     spectrum_complex,
-    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
@@ -78,7 +77,6 @@ def test_every_solver_drops_entries_above_the_residual_tolerance():
     solvers = (
         lambda tol: spectrum_exact_commensurable(a, ones, 1.0, (-4.0, 4.0), residual_tol=tol),
         lambda tol: spectrum_numeric(a, window=(-4.0, 4.0), residual_tol=tol),
-        lambda tol: spectrum_eigenphase(a, window=(-4.0, 4.0), residual_tol=tol),
         lambda tol: spectrum_complex(a, rect=(-4.0, 4.0, -0.5, 0.5), residual_tol=tol),
     )
     for solve in solvers:

@@ -24,12 +24,7 @@ from diracgraph import (
 )
 from diracgraph.charpoly import EVAL_BLOCK
 from diracgraph.errors import EnumerationCapExceeded
-from diracgraph.randgen import (
-    random_eulerian_graph,
-    random_g_endomorphism,
-    random_graph,
-    random_unitary_g_endomorphism,
-)
+from diracgraph.randgen import random_g_endomorphism, random_graph
 from oracles import evaluate_point
 
 
@@ -480,22 +475,6 @@ def test_evaluation_in_blocks_matches_point_substitution():
         x = np.exp(1j * lam * lengths)
         assert val == pytest.approx(evaluate_point(p, x), rel=1e-10, abs=1e-12)
         assert der == pytest.approx(evaluate_point(weighted, x), rel=1e-10, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_grid_product_matches_pointwise_evaluation(seed):
-    # Up to 12 edges, grid starts out to 1e3, and point counts that do and
-    # do not fill the last block of the offset x block-start product.
-    rng = np.random.default_rng(300 + seed)
-    g = random_eulerian_graph(rng, max_edges=12, unit_lengths=False)
-    f = char_function(random_unitary_g_endomorphism(g, rng))
-    for start in (-1000.0, -7.25, 0.0, 431.9, 1000.0):
-        for n in (1, 2, 5, 99, 100, 1234):
-            step = float(rng.uniform(1e-3, 0.02))
-            got = f.eval_grid(start, step, n)
-            assert got.shape == (n,)
-            want = f.eval(start + step * np.arange(n))
-            assert np.max(np.abs(got - want)) <= 1e-12 * f.scale
 
 
 def test_scale_and_total_length():

@@ -135,7 +135,7 @@ def test_spectrum_routes_scan_for_incommensurable_unitary(tmp_path, capsys):
         capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "7"]
     )
     assert rc == EXIT_OK
-    assert payload["solver"] == "scan"
+    assert payload["solver"] == "eigenphase"
     expected = sorted([0.0, 0.0, 2 * math.pi, 2 * math.pi / math.sqrt(2)])
     got = []
     for e in payload["eigenvalues"]:
@@ -186,17 +186,6 @@ def test_spectrum_refuses_incommensurable_non_unitary(tmp_path, capsys):
     assert "refused" in err
 
 
-def test_spectrum_forced_scan_refuses_non_unitary(tmp_path, capsys):
-    g = rose(1)
-    gp = write_graph(tmp_path, g)
-    bc = write_json(
-        tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, 2 * np.eye(1)))
-    )
-    rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc, "--scan"])
-    assert rc == EXIT_REFUSAL
-    assert "not unitary" in err
-
-
 def test_spectrum_dimension_mismatch_means_whole_plane(tmp_path, capsys):
     gp = write_graph(tmp_path, rose(1))
     bc = write_json(tmp_path, "bc.json", {"type": "subspace", "basis": []})
@@ -235,7 +224,7 @@ def test_spectrum_near_commensurable_lengths_fall_back_to_scan(tmp_path, capsys)
         capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "1"]
     )
     assert rc == EXIT_OK
-    assert payload["solver"] == "scan"
+    assert payload["solver"] == "eigenphase"
 
 
 def write_cycle_permutation(tmp_path, lengths):
@@ -249,17 +238,16 @@ def write_cycle_permutation(tmp_path, lengths):
 
 def test_spectrum_routes_large_degree_to_the_scan(tmp_path, capsys):
     # lengths (1, 1 + 1/997, 1.5) are commensurable with d = sum m_e = 6981,
-    # past the exact solver's degree bound: a unitary map goes to the scan
+    # past the exact solver's degree bound: a unitary map goes to the
+    # eigenphase locator
     gp, bc = write_cycle_permutation(tmp_path, [1.0, 1.0 + 1 / 997, 1.5])
     start = time.perf_counter()
     rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc])
     assert time.perf_counter() - start < 1.0
-    assert rc == EXIT_OK and payload["solver"] == "scan"
-    rc, forced, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--scan"])
-    assert payload == forced
+    assert rc == EXIT_OK and payload["solver"] == "eigenphase"
     rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc, "--exact"])
     assert rc == EXIT_REFUSAL
-    assert "--scan" in err and "--contour" in err
+    assert "--contour" in err
 
 
 def test_spectrum_refuses_large_degree_for_non_unitary_map(tmp_path, capsys):
@@ -295,7 +283,7 @@ def write_unitary_walk(tmp_path, edges, lengths, seed):
 
 
 def test_spectrum_routes_cheap_windows_to_the_eigenphase_locator(tmp_path, capsys):
-    # d = 300 and about 40 eigenvalues in the window: 128 * 40 * 6**3 < 300**3
+    # d = 300 and about 40 eigenvalues in the window: 8 * 40 * 6**3 < 300**3
     edges = [("u", "u"), ("u", "v"), ("v", "u"), ("v", "v"), ("u", "v"), ("v", "u")]
     mult = [37, 53, 41, 61, 47, 61]
     gp, bc, _ = write_unitary_walk(tmp_path, edges, np.multiply(mult, 10.0 / 300), 11)
@@ -324,6 +312,37 @@ def test_spectrum_keeps_windows_past_the_locator_bound_on_the_exact_route(tmp_pa
     assert abs(count - 3.5e5 * 2.004 / (2 * math.pi)) < 3
 
 
+@pytest.mark.parametrize("lower", ["-1e3", "-1E-1", "-.5", repr(-2 * math.pi)])
+def test_spectrum_reads_negative_bounds_in_every_float_syntax(tmp_path, capsys, lower):
+    gp = write_graph(tmp_path, rose(1))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", lower, "0.5"])
+    assert rc == EXIT_OK
+    want = [2 * math.pi * k for k in range(-200, 1) if 2 * math.pi * k >= float(lower) - 1e-7]
+    assert [e["re"] for e in payload["eigenvalues"]] == pytest.approx(want, abs=1e-9)
+    rect = ["--rect", "-1e0", "1E-1", "-.5", "0.5"]
+    rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc] + rect)
+    assert rc == EXIT_OK and payload["solver"] == "contour"
+    assert [e["re"] for e in payload["eigenvalues"]] == pytest.approx([0.0], abs=1e-9)
+    gp = write_graph(tmp_path, directed_cycle(3))
+    perm = write_json(tmp_path, "perm.json", {"trails": [["e1", "e2", "e3"]]})
+    argv = ["trails", gp, "--from-permutation", perm, "--spectrum", "--window", lower, "0.5"]
+    rc, payload, _ = run_json(capsys, argv)
+    assert rc == EXIT_OK
+    want = [2 * math.pi * k / 3 for k in range(-500, 1) if 2 * math.pi * k / 3 >= float(lower)]
+    assert [e["re"] for e in payload["eigenvalues"]] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("re1", ["1e308", "1e12", "1e6"])
+def test_spectrum_refuses_oversized_rectangles_at_once(tmp_path, capsys, re1):
+    gp = write_graph(tmp_path, rose(1))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["spectrum", gp, "--bc", bc, "--rect", "0", re1, "-1", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_REFUSAL and out == "" and "split it into smaller pieces" in err
+
+
 def test_spectrum_refuses_exact_windows_it_cannot_list(tmp_path, capsys):
     # the window is too wide for the locator, so the exact route takes it;
     # it would list about 1.4e300 family members
@@ -336,7 +355,7 @@ def test_spectrum_refuses_exact_windows_it_cannot_list(tmp_path, capsys):
 
 
 def test_spectrum_locates_unitary_maps_above_the_edge_cap(tmp_path, capsys):
-    # 60 edges with incommensurable lengths: the scan's expansion is capped
+    # 60 edges with incommensurable lengths, past the expansion's edge cap
     rng = np.random.default_rng(5)
     edges = [(f"v{k % 6}", f"v{(k + 1) % 6}") for k in range(60)]
     lengths = rng.uniform(0.5, 1.5, size=60)
@@ -349,8 +368,6 @@ def test_spectrum_locates_unitary_maps_above_the_edge_cap(tmp_path, capsys):
     for lam, m in values:
         sv = np.linalg.svd(np.diag(np.exp(1j * lam * lengths)) - a.matrix, compute_uv=False)
         assert np.count_nonzero(sv < 1e-8) == m
-    rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc, "--window", "0", "2", "--scan"])
-    assert rc == EXIT_REFUSAL and "capped" in err
 
 
 # -- charpoly -------------------------------------------------------------

@@ -218,10 +218,10 @@ def test_report_json_and_csv():
     g = rose(1)
     rep = spectrum_numeric(GEndomorphism(g, np.eye(1)), window=(-0.5, 7.0))
     doc = report_to_json(rep)
-    assert doc["solver"] == "scan"
+    assert doc["solver"] == "eigenphase"
     assert [e["mult"] for e in doc["eigenvalues"]] == [1, 1]
     assert doc["eigenvalues"][1]["re"] == pytest.approx(2 * math.pi)
-    assert "winding" not in doc
+    assert doc["winding"] == 2
 
     csv = report_to_csv(rep)
     lines = csv.strip().split("\n")

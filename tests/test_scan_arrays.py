@@ -1,21 +1,13 @@
-"""Array layers of the scan: array Newton, stacked rank tests, the grid fallback."""
+"""Stacked rank tests, and the real-axis solver on a six-fold eigenvalue."""
 
 import math
 
 import numpy as np
 import pytest
 
-from diracgraph import GEndomorphism, char_function, rose, spectrum_numeric
-from diracgraph.randgen import (
-    random_eulerian_graph,
-    random_g_endomorphism,
-    random_unitary_g_endomorphism,
-)
-from diracgraph.spectrum import (
-    RANK_RTOL,
-    _guarded_newton,
-    _multiplicities,
-)
+from diracgraph import GEndomorphism, rose, spectrum_numeric
+from diracgraph.randgen import random_eulerian_graph, random_unitary_g_endomorphism
+from diracgraph.spectrum import RANK_RTOL, _multiplicities
 
 
 def pointwise_multiplicity(a, lengths, lam):
@@ -25,32 +17,6 @@ def pointwise_multiplicity(a, lengths, lam):
     s = np.linalg.svd(np.diag(phases) - a.matrix, compute_uv=False)
     scale = max(s[0], np.max(np.abs(phases)), np.linalg.norm(a.matrix))
     return int(np.count_nonzero(s <= RANK_RTOL * scale)), s[-1] / scale
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_array_newton_matches_scalar_starts(seed):
-    rng = np.random.default_rng(500 + seed)
-    g = random_eulerian_graph(rng, max_edges=8, unit_lengths=False)
-    cf = char_function(random_g_endomorphism(g, rng))
-    starts = rng.uniform(-10, 10, 40) + 1j * rng.uniform(-1, 1, 40)
-    limits = _guarded_newton(cf.eval, cf.eval_deriv, starts)
-    assert limits.shape == starts.shape
-    for z0, z in zip(starts, limits):
-        one = _guarded_newton(cf.eval, cf.eval_deriv, complex(z0))
-        assert isinstance(one, complex)
-        assert abs(one - z) <= 1e-9 * (1.0 + abs(z))
-
-
-def test_array_newton_points_stop_on_their_own():
-    # Each start runs under its own rules: a zero derivative stops at once,
-    # a start on the zero stays, and the rest converge to the nearest root.
-    value = lambda z: z**2 - 1.0  # noqa: E731
-    deriv = lambda z: 2.0 * z  # noqa: E731
-    starts = np.array([0.0, 1.0, 3.0, -0.7 + 0.1j])
-    got = _guarded_newton(value, deriv, starts)
-    assert got[0] == 0.0 and got[1] == 1.0
-    assert got[2] == pytest.approx(1.0, abs=1e-15)
-    assert got[3] == pytest.approx(-1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -83,8 +49,8 @@ def test_stacked_rank_tests_match_pointwise_svd(seed):
 
 @pytest.mark.parametrize("lo", [-0.5, -0.3, 0.1])
 def test_scan_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
-    # Every Newton limit from the noise plateau of the 6-fold zero at 2 pi
-    # lands off the axis; the grid minimum itself has to carry the zero.
+    # The 6-fold zero at 2 pi: Newton limits from its noise plateau leave
+    # the axis, so the count cell around it has to carry the zero.
     a = GEndomorphism(rose(6), np.eye(6))
     rep = spectrum_numeric(a, window=(lo, 13.0))
     want = [2 * math.pi * k for k in range(3) if 2 * math.pi * k >= lo]

@@ -1,12 +1,13 @@
 """Differential tests: the spectrum solvers agree where two apply, and the
-exact spectrum keeps the invariants the theory guarantees.
+spectra keep the invariants the theory guarantees.
 
 Graphs are random Eulerian graphs of up to 7 edges with integer length
 multipliers 1-3, so the exact solver applies to every map, or with random
-lengths for the scan against the eigenphase locator; hypothesis draws the
-seeds (derandomized, so every run checks the same cases).  The invariants
-are block splitting (the spectrum of a reducible map is the union of its
-block spectra) and edge relabeling.
+lengths for the eigenphase locator against a count-bisection oracle and the
+contour solver; hypothesis draws the seeds (derandomized, so every run
+checks the same cases).  The invariants are block splitting (the spectrum
+of a reducible map is the union of its block spectra), edge relabeling,
+length scaling and edge subdivision.
 """
 
 import numpy as np
@@ -21,16 +22,18 @@ from diracgraph import (
     graph_from_edges,
     split_reducible,
     spectrum_complex,
-    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
+    subdivide_edge,
 )
+from diracgraph.spectrum import DEDUPE_RADIUS
 from diracgraph.randgen import (
     random_eulerian_graph,
     random_g_endomorphism,
     random_graph,
     random_unitary_g_endomorphism,
 )
+from oracles import real_eigenvalues_by_bisection
 
 CASES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -91,22 +94,64 @@ def test_exact_and_eigenphase_agree_on_unitary_maps(seed):
     lo = rng.uniform(-10.0, 10.0)
     window = (lo, lo + rng.uniform(0.5, 8.0))
     exact = spectrum_exact_commensurable(a, mult, delta, window)
-    located = spectrum_eigenphase(a, np.multiply(mult, delta), window)
+    located = spectrum_numeric(a, np.multiply(mult, delta), window)
     assert_same_entries(located, exact)
     assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+
+
+def incommensurable_map(seed):
+    rng = np.random.default_rng(seed)
+    g = random_eulerian_graph(rng, max_edges=7, unit_lengths=False)
+    a = random_unitary_g_endomorphism(g, rng)
+    lo = rng.uniform(-10.0, 10.0)
+    return rng, a, (lo, lo + rng.uniform(0.5, 8.0))
 
 
 @CASES
 @given(st.integers(0, 2**32 - 1))
 def test_scan_and_eigenphase_agree_on_incommensurable_maps(seed):
-    rng = np.random.default_rng(seed)
-    g = random_eulerian_graph(rng, max_edges=7, unit_lengths=False)
-    a = random_unitary_g_endomorphism(g, rng)
-    lo = rng.uniform(-10.0, 10.0)
-    window = (lo, lo + rng.uniform(0.5, 8.0))
-    located = spectrum_eigenphase(a, window=window)
-    assert_same_entries(spectrum_numeric(a, window=window), located)
-    assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+    # the locator against bisection on plain eigvals of S(x), and against
+    # Beyn's contour integral on a thin rectangle around the window
+    _, a, (lo, hi) = incommensurable_map(seed)
+    located = spectrum_numeric(a, window=(lo, hi))
+    cells = real_eigenvalues_by_bisection(
+        a, a.graph.lengths(), lo - DEDUPE_RADIUS, hi + DEDUPE_RADIUS
+    )
+    assert [e.multiplicity for e in located.eigenvalues] == [c for _, c in cells]
+    assert np.allclose(located.values(), [x for x, _ in cells], rtol=0, atol=1e-9)
+    assert located.winding == sum(c for _, c in cells)
+    assert_same_entries(spectrum_complex(a, rect=(lo, hi, -0.5, 0.5)), located)
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1), st.floats(0.2, 5.0))
+def test_scaling_the_lengths_scales_the_spectrum(seed, c):
+    # lengths c l turn T(lambda) into T(c lambda): eigenvalues lambda / c
+    _, a, (lo, hi) = incommensurable_map(seed)
+    base = spectrum_numeric(a, window=(lo, hi))
+    scaled = spectrum_numeric(a, np.multiply(c, a.graph.lengths()), (lo / c, hi / c))
+    assert [e.multiplicity for e in scaled.eigenvalues] == [
+        e.multiplicity for e in base.eigenvalues
+    ]
+    assert np.allclose(np.multiply(c, scaled.values()), base.values(), rtol=0, atol=1e-8)
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_subdividing_an_edge_keeps_the_spectrum(seed):
+    # the two halves of edge i pass values on with transfer 1: the value
+    # leaving the second half is the one leaving the old edge
+    rng, a, window = incommensurable_map(seed)
+    g = a.graph
+    i = int(rng.integers(g.n_edges))
+    sub, _ = subdivide_edge(g, g.edges[i].id, float(rng.uniform(0.2, 0.8)))
+    rows = [k + (k > i) for k in range(g.n_edges)]
+    cols = [k + (k >= i) for k in range(g.n_edges)]
+    m = np.zeros((g.n_edges + 1, g.n_edges + 1), dtype=complex)
+    m[np.ix_(rows, cols)] = a.matrix
+    m[i + 1, i] = 1.0
+    got = spectrum_numeric(GEndomorphism(sub, m), window=window)
+    assert_same_entries(got, spectrum_numeric(a, window=window))
 
 
 def random_rect(rng):

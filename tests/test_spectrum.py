@@ -1,4 +1,4 @@
-"""Eigenvalue solvers: exact commensurable, real-line scan, contour search."""
+"""Eigenvalue solvers: exact commensurable, eigenphase locator, contour search."""
 
 import math
 
@@ -16,7 +16,6 @@ from diracgraph import (
     multiplicity,
     rose,
     spectrum_complex,
-    spectrum_eigenphase,
     spectrum_exact_commensurable,
     spectrum_numeric,
 )
@@ -327,7 +326,7 @@ def test_contour_solver_has_no_edge_cap(monkeypatch):
     assert rep.warnings == ()
 
 
-# -- scan solver ----------------------------------------------------------
+# -- real-axis solver -----------------------------------------------------
 
 
 def test_scan_cycle_phases_closed_form():
@@ -418,7 +417,7 @@ def test_scan_eigenfunctions_solve_the_edge_equation():
 
 def twin_loops():
     """Loops of lengths 1 and 1.0005 under the identity: the eigenvalues
-    2 pi k and 2 pi k / 1.0005 pair up closer than the scan's grid step."""
+    2 pi k and 2 pi k / 1.0005 pair up within 0.02 of each other."""
     g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", 1.0005)])
     want = sorted(2 * math.pi * k / l for k in (1, 2, 3) for l in (1.0, 1.0005))
     return GEndomorphism(g, np.eye(2)), want
@@ -429,7 +428,7 @@ def test_scan_keeps_both_eigenvalues_of_a_close_pair():
     rep = spectrum_numeric(a, window=(0.5, 20.0))
     assert rep.values() == pytest.approx(want, abs=1e-9)
     assert [e.multiplicity for e in rep.eigenvalues] == [1] * 6
-    assert rep.warnings == () and rep.winding is None
+    assert rep.warnings == () and rep.winding == 6
 
 
 # -- eigenphase locator ---------------------------------------------------
@@ -437,14 +436,14 @@ def test_scan_keeps_both_eigenvalues_of_a_close_pair():
 
 def test_eigenphase_twin_loops():
     a, want = twin_loops()
-    rep = spectrum_eigenphase(a, window=(0.5, 20.0))
+    rep = spectrum_numeric(a, window=(0.5, 20.0))
     assert rep.solver == "eigenphase" and rep.winding == 6 and rep.warnings == ()
     assert rep.values() == pytest.approx(want, abs=1e-9)
 
 
 def test_eigenphase_rose_identity_multiplicities():
     g, a = scaled_identity_rose(6, 1.0)
-    rep = spectrum_eigenphase(a, window=(-0.5, 13.0))
+    rep = spectrum_numeric(a, window=(-0.5, 13.0))
     assert rep.values() == pytest.approx([0.0, 2 * math.pi, 4 * math.pi], abs=1e-9)
     assert [e.multiplicity for e in rep.eigenvalues] == [6, 6, 6]
     assert rep.winding == 18 and rep.warnings == ()
@@ -453,18 +452,18 @@ def test_eigenphase_rose_identity_multiplicities():
 def test_eigenphase_refuses_what_the_scan_refuses():
     g, a = scaled_identity_rose(1, 2.0)
     with pytest.raises(DiracGraphError, match="unitary"):
-        spectrum_eigenphase(a, window=(-1.0, 1.0))
+        spectrum_numeric(a, window=(-1.0, 1.0))
     g, a = scaled_identity_rose(1, 1.0)
     with pytest.raises(ValueError):
-        spectrum_eigenphase(a, window=Window.rect(-1, 1, 0.5, 1.0))
+        spectrum_numeric(a, window=Window.rect(-1, 1, 0.5, 1.0))
     with pytest.raises(WindowTooLargeError):
-        spectrum_eigenphase(a, window=(-1e6, 1e6))
+        spectrum_numeric(a, window=(-1e6, 1e6))
 
 
 def test_eigenphase_count_reads_the_window_ends():
     # eigenvalues 0 and 2 pi sit on the window ends and are counted and listed
     g = rose(1)
-    rep = spectrum_eigenphase(GEndomorphism(g, np.eye(1)), window=(0.0, 2 * math.pi))
+    rep = spectrum_numeric(GEndomorphism(g, np.eye(1)), window=(0.0, 2 * math.pi))
     assert rep.values() == pytest.approx([0.0, 2 * math.pi], abs=1e-12)
     assert rep.winding == 2 and rep.warnings == ()
 
