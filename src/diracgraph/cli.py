@@ -10,6 +10,7 @@ the requested kind), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -118,6 +119,13 @@ def _window(bounds) -> Window:
     return Window(*bounds)
 
 
+def _tol(value: float) -> float:
+    """A ``--tol`` argument; a tolerance that is not finite and positive is bad input."""
+    if not 0.0 < value < np.inf:
+        raise InputFormatError(f"tolerance must be finite and positive: {value}")
+    return value
+
+
 def _resolve_endomorphism(bc, g):
     """Edge map behind a boundary condition, or a refusal."""
     if bc.endomorphism is not None:
@@ -194,6 +202,7 @@ def cmd_spectrum(args) -> int:
     bc = load_boundary(args.bc, g)
     window = _window(args.window)
     rect = _window(args.rect) if args.rect else None
+    tol = _tol(args.tol)
 
     if bc.kind == "subspace" and bc.subspace.dim != g.n_edges:
         _warn(
@@ -252,14 +261,14 @@ def cmd_spectrum(args) -> int:
             )
         mult, delta = commensurable
         report = spectrum_exact_commensurable(
-            a, mult, delta, window, residual_tol=args.tol
+            a, mult, delta, window, residual_tol=tol
         )
     elif mode == "eigenphase":
-        report = spectrum_numeric(a, lengths, window, residual_tol=args.tol)
+        report = spectrum_numeric(a, lengths, window, residual_tol=tol)
     else:
         if rect is None:
             raise DiracGraphError("contour solver needs --rect RE0 RE1 IM0 IM1")
-        report = spectrum_complex(a, lengths, rect, residual_tol=args.tol)
+        report = spectrum_complex(a, lengths, rect, residual_tol=tol)
 
     for w in report.warnings:
         _warn(w)
@@ -386,7 +395,7 @@ def cmd_selfadjoint(args) -> int:
     g = _load_valid_graph(args.graph)
     bc = load_boundary(args.bc, g)
     sub = bc.subspace if bc.subspace is not None else graph_of(bc.endomorphism)
-    result = self_adjointness_witness(sub, subspace_tol=args.tol)
+    result = self_adjointness_witness(sub, subspace_tol=_tol(args.tol))
     if not result.ok:
         _warn(f"refused: {result.reason}")
         _emit({"selfadjoint": False, "reason": result.reason}, args.format,
@@ -416,7 +425,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call:
+    building it costs about twenty times what parsing one argv does."""
     parser = _Parser(
         prog="diracgraph",
         description="Spectral analysis of first order operators on metric digraphs.",
@@ -514,8 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputFormatError as exc:

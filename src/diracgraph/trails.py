@@ -26,6 +26,7 @@ from .spectrum import (
     SpectrumReport,
     Window,
     as_window,
+    _real_window,
     _sorted_entries,
 )
 
@@ -214,15 +215,16 @@ def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) ->
     times the value is a whole multiple of ``2 pi`` (within relative
     ``DIVISIBILITY_RTOL``); zero always qualifies every trail, so its
     multiplicity is the trail count.  Eigenfunctions are constant magnitude
-    waves supported on one qualifying trail each.
+    waves supported on one qualifying trail each.  A window expected to hold
+    more than ``MAX_EXPECTED_ROOTS`` eigenvalues, ``width sum(l) / 2 pi``,
+    is refused with :class:`WindowTooLargeError` before any is listed.
     """
     g = p.graph
     window = as_window(window)
-    if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
-        raise ValueError("permutation spectra are real; window excludes the real line")
     if lengths is None:
         lengths = g.lengths()
     lengths = np.asarray(lengths, dtype=float)
+    _real_window(window, lengths)
     d = permutation_to_decomposition(p)
     trail_lengths = [
         float(sum(lengths[g.edge_index(eid)] for eid in t)) for t in d.trails

@@ -476,6 +476,19 @@ def test_trails_spectrum_empty_window_is_bad_input(tmp_path, capsys):
     assert out == "" and err.startswith("input error: ")
 
 
+def test_trails_spectrum_refuses_windows_past_the_locator_bound(tmp_path, capsys):
+    # one trail of length 1 + sqrt(2): the window would hold about 2e5
+    # eigenvalues, twice the bound, and is refused before any is listed
+    gp = write_graph(tmp_path, TWO_LOOPS)
+    perm = write_json(tmp_path, "perm.json", {"map": {"a": "b", "b": "a"}})
+    width = 2e5 * 2 * math.pi / (1 + math.sqrt(2))
+    argv = ["trails", gp, "--from-permutation", perm, "--spectrum", "--window", "0", str(width)]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_REFUSAL and out == "" and "split it into smaller pieces" in err
+
+
 def test_pretty_spectrum_builds_no_json_payload(tmp_path, capsys, monkeypatch):
     import diracgraph.cli as cli
 
@@ -598,7 +611,38 @@ def test_selfadjoint_refuses_dimension_mismatch(tmp_path, capsys):
     assert payload["reason"] == "dim != |E|"
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
+    gp = write_graph(tmp_path, rose(1))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    for argv in (["spectrum", gp, "--bc", bc], ["selfadjoint", gp, "--bc", bc]):
+        rc, out, err = run(capsys, argv + ["--tol", tol])
+        assert rc == EXIT_BAD_INPUT
+        assert out == "" and err.startswith("input error: ")
+
+
 # -- plumbing -------------------------------------------------------------
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # lengths 0.3 and 0.7 give d = 10: a short window routes to the
+    # eigenphase locator unless --exact forces the exact solver
+    g = graph_from_edges([("a", "u", "u", 0.3), ("b", "u", "u", 0.7)])
+    gp = write_graph(tmp_path, g)
+    bc = write_json(tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, np.eye(2))))
+    forced = ["spectrum", gp, "--bc", bc, "--window", "-1", "10", "--exact"]
+    rc, first, _ = run(capsys, forced)
+    assert rc == EXIT_OK and json.loads(first)["solver"] == "exact-commensurable"
+    rc, routed, _ = run_json(capsys, forced[:-1])
+    assert rc == EXIT_OK and routed["solver"] == "eigenphase"
+    for argv in (["--version"], ["spectrum", gp, "--bc", bc, "--no-such-option"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+    rc, again, _ = run(capsys, forced)
+    assert rc == EXIT_OK and again == first
+
+
 
 
 def test_malformed_boundary_is_bad_input(tmp_path, capsys):

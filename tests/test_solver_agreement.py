@@ -7,7 +7,7 @@ lengths for the eigenphase locator against a count-bisection oracle and the
 contour solver; hypothesis draws the seeds (derandomized, so every run
 checks the same cases).  The invariants are block splitting (the spectrum
 of a reducible map is the union of its block spectra), edge relabeling,
-length scaling and edge subdivision.
+length scaling, edge subdivision and vertex reduction.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from diracgraph import (
     SpectrumReport,
     Window,
     graph_from_edges,
+    reduce_vertex,
     split_reducible,
     spectrum_complex,
     spectrum_exact_commensurable,
@@ -67,24 +68,24 @@ def test_exact_and_contour_agree_on_gaussian_maps(seed):
     assert contour.winding == sum(e.multiplicity for e in contour.eigenvalues)
 
 
-def check_exact_and_scan(seed):
+def check_exact_and_eigenphase(seed):
     rng, a, mult, delta = commensurable_map(seed, random_unitary_g_endomorphism)
     lo = rng.uniform(-5.0, 5.0)
     window = (lo, lo + rng.uniform(0.5, 3.0))
     exact = spectrum_exact_commensurable(a, mult, delta, window)
-    scan = spectrum_numeric(a, np.multiply(mult, delta), window)
-    assert_same_entries(scan, exact)
+    located = spectrum_numeric(a, np.multiply(mult, delta), window)
+    assert_same_entries(located, exact)
 
 
 @CASES
 @given(st.integers(0, 2**32 - 1))
-def test_exact_and_scan_agree_on_unitary_maps(seed):
-    check_exact_and_scan(seed)
+def test_exact_and_eigenphase_agree_on_short_windows(seed):
+    check_exact_and_eigenphase(seed)
 
 
-def test_exact_and_scan_agree_on_a_close_pair():
+def test_exact_and_eigenphase_agree_on_a_close_pair():
     # eigenvalues -0.302661 and -0.295918, 0.0067 apart
-    check_exact_and_scan(114108)
+    check_exact_and_eigenphase(114108)
 
 
 @CASES
@@ -109,7 +110,7 @@ def incommensurable_map(seed):
 
 @CASES
 @given(st.integers(0, 2**32 - 1))
-def test_scan_and_eigenphase_agree_on_incommensurable_maps(seed):
+def test_eigenphase_agrees_with_bisection_and_contour_on_incommensurable_maps(seed):
     # the locator against bisection on plain eigvals of S(x), and against
     # Beyn's contour integral on a thin rectangle around the window
     _, a, (lo, hi) = incommensurable_map(seed)
@@ -152,6 +153,26 @@ def test_subdividing_an_edge_keeps_the_spectrum(seed):
     m[i + 1, i] = 1.0
     got = spectrum_numeric(GEndomorphism(sub, m), window=window)
     assert_same_entries(got, spectrum_numeric(a, window=window))
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_reducing_a_vertex_keeps_the_spectrum(seed):
+    # the new vertex's 1x1 block carries a unit phase, which reduce_vertex
+    # folds into the merged edge's row: the map stays unitary
+    rng, a, window = incommensurable_map(seed)
+    g = a.graph
+    i = int(rng.integers(g.n_edges))
+    sub, mid = subdivide_edge(g, g.edges[i].id, float(rng.uniform(0.2, 0.8)))
+    rows = [k + (k > i) for k in range(g.n_edges)]
+    cols = [k + (k >= i) for k in range(g.n_edges)]
+    m = np.zeros((g.n_edges + 1, g.n_edges + 1), dtype=complex)
+    m[np.ix_(rows, cols)] = a.matrix
+    m[i + 1, i] = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    subdivided = GEndomorphism(sub, m)
+    _, reduced = reduce_vertex(subdivided, mid)
+    got = spectrum_numeric(reduced, window=window)
+    assert_same_entries(got, spectrum_numeric(subdivided, window=window))
 
 
 def random_rect(rng):
