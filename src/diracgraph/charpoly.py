@@ -225,31 +225,47 @@ def reduce_vertex(a: GEndomorphism, vertex_id: str) -> tuple[MetricGraph, GEndom
     return new_graph, GEndomorphism(new_graph, mat)
 
 
+def edge_classes(matrix) -> list[np.ndarray]:
+    """Edge indices of the finest invariant blocks of an edge map's matrix.
+
+    Edge ``j`` reaches edge ``i`` when a chain of nonzero entries carries a
+    value on ``j`` to ``i``; the reachability matrix is the boolean closure
+    of the support, at most ``n.bit_length()`` squarings of ``I +
+    support``, and an irreducible map, whose closure is all true, stops
+    there as one class.  The classes are the sets of mutually reaching
+    edges, each in ascending order.  They come in an order where every
+    class comes after the classes that feed it, at each step the one with
+    the smallest leading edge index among those no remaining class feeds.
+    """
+    n = matrix.shape[0]
+    reach = (matrix != 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach.astype(float) @ reach > 0
+        if reach.all():
+            return [np.arange(n)]
+    classes = sorted({tuple(np.flatnonzero(row)) for row in reach & reach.T})
+    out = []
+    while classes:
+        # the first class that no other remaining class reaches
+        leads = [c[0] for c in classes]
+        fed = reach[np.ix_(leads, leads)].sum(axis=1)
+        out.append(np.array(classes.pop(int(np.argmin(fed)))))
+    return out
+
+
 def split_reducible(a: GEndomorphism) -> list[tuple[frozenset[str], GEndomorphism]]:
     """Finest splitting of the edge set into invariant blocks.
 
     A subset of edges is invariant when the matrix maps values supported on
-    it back into it.  Edge ``j`` reaches edge ``i`` when a chain of nonzero
-    entries carries a value on ``j`` to ``i``; the reachability matrix is the
-    boolean closure of the support, ``n.bit_length()`` squarings of ``I +
-    support``.  The finest blocks are the classes of mutually reaching
-    edges.  They are returned in an order where every block comes after the
-    blocks that feed it, at each step the one with the smallest leading edge
-    index among those no remaining block feeds, so the full matrix is block
+    it back into it.  The finest blocks are the classes of
+    :func:`edge_classes`, in its order, so the full matrix is block
     triangular with the returned blocks on the diagonal: the characteristic
     polynomial factors over the blocks and the spectrum is the union of the
     block spectra.  An irreducible map comes back as a single block.
     """
     g = a.graph
-    reach = (a.matrix != 0) | np.eye(g.n_edges, dtype=bool)
-    for _ in range(g.n_edges.bit_length()):
-        reach = reach.astype(float) @ reach > 0
-    blocks = sorted({tuple(np.flatnonzero(row)) for row in reach & reach.T})
     out = []
-    while blocks:
-        # the first block that no other remaining block reaches
-        leads = [b[0] for b in blocks]
-        block = blocks.pop(int(np.argmin(reach[np.ix_(leads, leads)].sum(axis=1))))
+    for block in edge_classes(a.matrix):
         ids = frozenset(g.edges[i].id for i in block)
         sub = Subgraph(g, ids).induced_graph()
         out.append((ids, GEndomorphism(sub, a.matrix[np.ix_(block, block)])))

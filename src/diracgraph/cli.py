@@ -83,9 +83,11 @@ EXIT_BAD_INPUT = 2
 MAX_EXACT_DEGREE = 1000
 
 # The eigenphase locator costs about EIGENPHASE_COST * n**3 per expected
-# eigenvalue of the window; a unitary map within the degree bound goes to
-# it when that is below the exact solver's d**3 and the window is one the
-# locator takes (at most MAX_EXPECTED_ROOTS eigenvalues).
+# eigenvalue of the window on an irreducible map, its worst case: a map that
+# splits into blocks pays n_b**3 per expected eigenvalue of block b.  A
+# unitary map within the degree bound goes to it when that worst case is
+# below the exact solver's d**3 and the window is one the locator takes (at
+# most MAX_EXPECTED_ROOTS eigenvalues).
 EIGENPHASE_COST = 8
 
 
@@ -435,17 +437,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="spectrum: largest residual, the smallest singular "
-                             "value of diag(exp(i lambda l)) - A relative to its "
-                             "scale; selfadjoint: subspace tolerance "
-                             "(default 1e-10)")
     common.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="json", help="output format (default json)")
     # only the commands that run an exponential enumeration take --cap
     cap = dict(type=int, default=DEFAULT_EDGE_CAP,
                help="edge count cap for exponential enumerations "
                     f"(default {DEFAULT_EDGE_CAP})")
+    # only the commands that read a tolerance take --tol
+    tol = dict(type=float, default=1e-10)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -468,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "forced, a --rect goes to the contour solver. A unitary map with "
         f"commensurable lengths and d = sum m_e <= {MAX_EXACT_DEGREE} goes to "
         f"the eigenphase locator when {EIGENPHASE_COST} * expected * n**3 < "
-        "d**3 (expected = window width * total length / 2 pi, n edges) and "
+        "d**3 (expected = window width * total length / 2 pi, n edges; n**3 "
+        "is the cost of an irreducible map, the worst case) and "
         f"expected <= {MAX_EXPECTED_ROOTS}, else to the exact solver; any "
         "other unitary map goes to the eigenphase locator. Any other map "
         f"with d <= {MAX_EXACT_DEGREE} goes to the exact solver.",
@@ -485,6 +485,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", nargs=4, type=float, default=None,
                    metavar=("RE0", "RE1", "IM0", "IM1"),
                    help="complex rectangle for the contour solver")
+    p.add_argument("--tol", **tol,
+                   help="largest residual, the smallest singular value of "
+                        "diag(exp(i lambda l)) - A relative to its scale "
+                        "(default 1e-10)")
     p.set_defaults(func=cmd_spectrum, mode=None)
 
     p = sub.add_parser("charpoly", parents=[common],
@@ -521,6 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="certify a boundary condition by a unitary edge map")
     p.add_argument("graph")
     p.add_argument("--bc", required=True)
+    p.add_argument("--tol", **tol, help="subspace tolerance (default 1e-10)")
     p.set_defaults(func=cmd_selfadjoint)
     return parser
 

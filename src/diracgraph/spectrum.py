@@ -14,7 +14,8 @@ one only proposes candidate zeros:
   the eigenphases of ``S``, read off its Cayley transform, count the
   eigenvalues of any real cell exactly; the eigenphase locator bisects
   cells by that count and pins each eigenvalue by bracketed Newton on
-  ``det(I - S)``,
+  ``det(I - S)``, once per irreducible block of the map, at a cost of
+  ``sum_b expected_b n_b**3``,
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
@@ -42,6 +43,7 @@ import numpy as np
 from .boundary import BoundarySubspace, GEndomorphism, is_unitary
 # Not called here: perfbench/spans.py wraps spectrum.char_function when it traces.
 from .charpoly import char_function  # noqa: F401
+from .charpoly import edge_classes
 from .errors import ContourError, DiracGraphError, WindowTooLargeError
 from . import linalg
 
@@ -490,7 +492,7 @@ def spectrum_exact_commensurable(
     winding = None
     if window.is_real_interval and is_unitary(a):
         lo, hi = window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
-        winding = _window_count(a, lengths, lo, hi)
+        winding = _window_count(a.matrix, lengths, lo, hi)
         _check_count("eigenphase count", winding, entries, warnings)
     return SpectrumReport("exact-commensurable", window, entries, tuple(warnings), winding)
 
@@ -498,12 +500,12 @@ def spectrum_exact_commensurable(
 # -- eigenphase locator for unitary maps ---------------------------------
 
 
-def _quantum_maps(a, lengths, xs) -> np.ndarray:
+def _quantum_maps(matrix, lengths, xs) -> np.ndarray:
     """``S(x) = diag(exp(-i x l)) A`` stacked over the real points ``xs``."""
-    return np.exp(-1j * np.multiply.outer(xs, lengths))[..., None] * a.matrix
+    return np.exp(-1j * np.multiply.outer(xs, lengths))[..., None] * matrix
 
 
-def _phase_sums(a, lengths, xs) -> np.ndarray:
+def _phase_sums(matrix, lengths, xs) -> np.ndarray:
     """Sum of the eigenphases of ``S(x)`` in ``[0, 2 pi)`` at every point of
     ``xs``, ``STACK_CHUNK`` matrices at a time.
 
@@ -517,7 +519,7 @@ def _phase_sums(a, lengths, xs) -> np.ndarray:
     eye = np.eye(lengths.size)
     sums = np.empty(xs.size)
     for s in range(0, xs.size, STACK_CHUNK):
-        q = _quantum_maps(a, lengths, xs[s : s + STACK_CHUNK])
+        q = _quantum_maps(matrix, lengths, xs[s : s + STACK_CHUNK])
         try:
             c = 1j * np.linalg.solve(eye + q, eye - q)
             theta = 2 * np.arctan(np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2))
@@ -540,12 +542,12 @@ def _counts(total: float, x0, x1, p0, p1) -> np.ndarray:
     return np.rint(turns / (2 * math.pi)).astype(int)
 
 
-def _window_count(a, lengths, lo: float, hi: float) -> int:
+def _window_count(matrix, lengths, lo: float, hi: float) -> int:
     """Eigenvalues of a unitary map in ``[lo, hi)``, with multiplicity."""
-    return int(_counts(float(lengths.sum()), lo, hi, *_phase_sums(a, lengths, [lo, hi])))
+    return int(_counts(float(lengths.sum()), lo, hi, *_phase_sums(matrix, lengths, [lo, hi])))
 
 
-def _phase_newton(a, lengths, lo, hi, p_lo) -> np.ndarray:
+def _phase_newton(matrix, lengths, lo, hi, p_lo) -> np.ndarray:
     """The eigenvalue in each cell ``[lo, hi)`` holding one, all cells at once.
 
     With ``P(lo)`` the phase sum at ``lo`` and ``n`` edges, ``f(x) = det(I -
@@ -569,7 +571,7 @@ def _phase_newton(a, lengths, lo, hi, p_lo) -> np.ndarray:
             if not active.size:
                 break
             xa = x[active]
-            m = eye - _quantum_maps(a, lengths, xa)
+            m = eye - _quantum_maps(matrix, lengths, xa)
             sign, _ = np.linalg.slogdet(m)
             reference = p_lo[active] - total * (xa - start[active])
             below = (sign * np.exp(-0.5j * reference) * 1j**n).real > 0
@@ -586,7 +588,7 @@ def _phase_newton(a, lengths, lo, hi, p_lo) -> np.ndarray:
     return x
 
 
-def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
+def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
     """Candidates ``(point, hint)`` for the eigenvalues in the cells ``[x0,
     x1)``, which hold ``count`` of them by the phase sums ``p0``, ``p1``.
 
@@ -603,7 +605,7 @@ def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
         if not split.any():
             break
         mid = (x0[split] + x1[split]) / 2
-        p_mid = _phase_sums(a, lengths, mid)
+        p_mid = _phase_sums(matrix, lengths, mid)
         low = _counts(total, x0[split], mid, p0[split], p_mid)
         parts = (
             [c[~split] for c in cells],
@@ -617,7 +619,7 @@ def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
     roots = [
         x
         for s in range(0, singles[0].size, STACK_CHUNK)
-        for x in _phase_newton(a, lengths, *(c[s : s + STACK_CHUNK] for c in singles))
+        for x in _phase_newton(matrix, lengths, *(c[s : s + STACK_CHUNK] for c in singles))
     ]
     narrow = zip((x0[~one] + x1[~one]) / 2, count[~one])
     return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
@@ -625,7 +627,7 @@ def _locate(a, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]:
 
 def _real_window(window: Window, lengths) -> tuple[float, float, float]:
     """Checked bounds of a real window widened by ``DEDUPE_RADIUS``, and its
-    expected eigenvalue count ``width L / 2 pi``."""
+    width; the expected eigenvalue count ``width L / 2 pi`` is bounded."""
     if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
         raise ValueError("real-axis solver needs a window containing the real line")
     width = window.re_max - window.re_min
@@ -635,7 +637,7 @@ def _real_window(window: Window, lengths) -> tuple[float, float, float]:
             f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
             "split it into smaller pieces"
         )
-    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS, expected
+    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS, width
 
 
 def _require_unitary(a) -> None:
@@ -657,30 +659,38 @@ def spectrum_numeric(
 
     ``lambda`` is an ``m``-fold eigenvalue exactly when ``S(lambda) =
     diag(exp(-i lambda l)) A`` has the eigenvalue 1 with multiplicity ``m``.
-    Phase sums at the ends of one cell per expected eigenvalue, from stacked
-    Cayley transforms (:func:`_phase_sums`), count the eigenvalues in each
-    cell exactly (:func:`_counts`); cells are bisected until each holds one,
-    which bracketed Newton on ``det(I - S)`` pins, or is too narrow to split,
-    which is one multiple candidate.  The cost grows with the eigenvalue
-    count times ``n**3``, with no polynomial expansion and no edge cap.  The
-    report's ``winding`` is the count of the window widened by
-    ``DEDUPE_RADIUS``, a check on the listed multiplicities.  For a map
-    that is not unitary the spectrum need not be real and this solver
-    refuses; use the contour solver instead.
+    A block triangular unitary matrix is block diagonal, so the eigenphases
+    of ``S`` are those of the irreducible blocks of ``A`` (``edge_classes``),
+    and each block ``b`` of ``n_b`` edges and length ``L_b`` is located on
+    its own: phase sums at the ends of one cell per expected eigenvalue
+    ``width L_b / 2 pi``, from stacked Cayley transforms
+    (:func:`_phase_sums`), count the eigenvalues in each cell exactly
+    (:func:`_counts`); cells are bisected until each holds one, which
+    bracketed Newton on ``det(I - S_b)`` pins, or is too narrow to split,
+    which is one multiple candidate.  The candidates of all blocks are
+    certified on the whole map.  The cost grows as ``sum_b expected_b
+    n_b**3``, at most ``expected n**3``, with no polynomial expansion and no
+    edge cap.  The report's ``winding``, the sum of the block counts of the
+    window widened by ``DEDUPE_RADIUS``, checks the listed multiplicities.
+    For a map that is not unitary the spectrum need not be real and this
+    solver refuses; use the contour solver instead.
     """
     window = as_window(window)
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
-    lo, hi, expected = _real_window(window, lengths)
+    lo, hi, width = _real_window(window, lengths)
     _require_unitary(a)
-    xs = np.linspace(lo, hi, max(1, math.ceil(expected)) + 1)
-    p = _phase_sums(a, lengths, xs)
-    count = _counts(float(lengths.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
-    candidates = _locate(a, lengths, xs[:-1], xs[1:], p[:-1], p[1:], count)
+    candidates, winding = [], 0
+    for idx in edge_classes(a.matrix):
+        m, l = a.matrix[np.ix_(idx, idx)], lengths[idx]
+        xs = np.linspace(lo, hi, max(1, math.ceil(width * l.sum() / (2 * math.pi))) + 1)
+        p = _phase_sums(m, l, xs)
+        count = _counts(float(l.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
+        candidates += _locate(m, l, xs[:-1], xs[1:], p[:-1], p[1:], count)
+        winding += int(count.sum())
     warnings: list[str] = []
     entries = _certified_entries(
         a, lengths, window, candidates, residual_tol, warnings, real_axis=True
     )
-    winding = int(count.sum())
     _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("eigenphase", window, entries, tuple(warnings), winding=winding)
 

@@ -16,15 +16,21 @@ from diracgraph import (
     directed_cycle,
     graph_from_edges,
     looped_dumbbell,
+    permutation_to_decomposition,
     reduce_vertex,
     rose,
     specialize_univariate,
     split_reducible,
     univariate_to_string,
 )
-from diracgraph.charpoly import EVAL_BLOCK
+from diracgraph.charpoly import EVAL_BLOCK, edge_classes
 from diracgraph.errors import EnumerationCapExceeded
-from diracgraph.randgen import random_g_endomorphism, random_graph
+from diracgraph.randgen import (
+    random_eulerian_graph,
+    random_g_endomorphism,
+    random_g_permutation,
+    random_graph,
+)
 from oracles import evaluate_point
 
 
@@ -370,6 +376,52 @@ def test_irreducible_map_is_single_block():
     ids, block = blocks[0]
     assert ids == frozenset({"e1", "e2", "e3"})
     assert np.array_equal(block.matrix, m)
+
+
+def test_an_irreducible_map_has_one_edge_class():
+    rng = np.random.default_rng(61)
+    cycle = np.roll(np.eye(7), 1, axis=0)
+    for m in (cycle, rng.normal(size=(5, 5)), np.ones((1, 1))):
+        (only,) = edge_classes(m)
+        assert only.tolist() == list(range(m.shape[0]))
+
+
+def test_edge_classes_of_a_permutation_are_its_trails():
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        p = random_g_permutation(random_eulerian_graph(rng, max_edges=8), rng)
+        trails = permutation_to_decomposition(p).trails
+        want = {frozenset(p.graph.edge_index(e) for e in t) for t in trails}
+        classes = edge_classes(p.to_endomorphism().matrix)
+        assert len(classes) == len(trails)
+        assert {frozenset(c.tolist()) for c in classes} == want
+
+
+def test_edge_classes_of_a_block_triangular_map():
+    # dense Gaussian diagonal blocks above a sparse Gaussian lower part, the
+    # edges shuffled: the classes are the shuffled blocks, each listed after
+    # the classes that feed it, as split_reducible lists them
+    rng = np.random.default_rng(71)
+    for _ in range(25):
+        sizes = rng.integers(1, 4, size=rng.integers(2, 5))
+        label = np.repeat(np.arange(sizes.size), sizes)
+        n = label.size
+        m = rng.normal(size=(n, n))
+        m[label[:, None] < label[None, :]] = 0.0
+        m[(label[:, None] > label[None, :]) & (rng.random((n, n)) < 0.5)] = 0.0
+        perm = rng.permutation(n)
+        shuffled = m[np.ix_(perm, perm)]
+        classes = edge_classes(shuffled)
+        want = {frozenset(np.flatnonzero(label[perm] == b).tolist()) for b in range(sizes.size)}
+        assert {frozenset(c.tolist()) for c in classes} == want
+        order = np.concatenate(classes)
+        rank = np.repeat(np.arange(len(classes)), [c.size for c in classes])
+        assert not np.any(shuffled[np.ix_(order, order)][rank[:, None] < rank[None, :]])
+        g = rose(n)
+        blocks = split_reducible(GEndomorphism(g, shuffled))
+        assert [c.tolist() for c in classes] == [
+            sorted(g.edge_index(e.id) for e in block.graph.edges) for _, block in blocks
+        ]
 
 
 def test_split_factorizes_polynomial_on_random_maps():

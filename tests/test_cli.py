@@ -124,7 +124,7 @@ def test_spectrum_routes_exact_for_commensurable(tmp_path, capsys):
     assert values[1][0] == pytest.approx(2 * math.pi)
 
 
-def test_spectrum_routes_scan_for_incommensurable_unitary(tmp_path, capsys):
+def test_spectrum_routes_incommensurable_unitary_to_the_locator(tmp_path, capsys):
     gp = write_graph(tmp_path, TWO_LOOPS)
     bc = write_json(
         tmp_path,
@@ -210,7 +210,7 @@ def test_spectrum_csv_format(tmp_path, capsys):
     assert lines[1].endswith(",1")
 
 
-def test_spectrum_near_commensurable_lengths_fall_back_to_scan(tmp_path, capsys):
+def test_spectrum_near_commensurable_lengths_fall_back_to_the_locator(tmp_path, capsys):
     # ratio 665857/470832 approximates sqrt(2) beyond the denominator cap, so
     # the exact route must not fire (it would specialize to a huge degree)
     g = graph_from_edges(
@@ -236,7 +236,7 @@ def write_cycle_permutation(tmp_path, lengths):
     return gp, bc
 
 
-def test_spectrum_routes_large_degree_to_the_scan(tmp_path, capsys):
+def test_spectrum_routes_large_degree_to_the_locator(tmp_path, capsys):
     # lengths (1, 1 + 1/997, 1.5) are commensurable with d = sum m_e = 6981,
     # past the exact solver's degree bound: a unitary map goes to the
     # eigenphase locator
@@ -684,6 +684,11 @@ def test_output_is_deterministic(tmp_path, capsys):
         ["trails", "--enumerate", "--cap", "3"],
         ["selfadjoint", "--bc", "bc.json", "--cap", "3"],
         ["topology", "--k-connectivity", "2"],
+        ["validate", "--tol", "1e-10"],
+        ["index", "--bc", "bc.json", "--tol", "1e-10"],
+        ["charpoly", "--adjacency", "--tol", "1e-10"],
+        ["trails", "--enumerate", "--tol", "1e-10"],
+        ["topology", "--tol", "1e-10"],
     ],
 )
 def test_options_that_would_do_nothing_are_rejected(tmp_path, argv):

@@ -4,7 +4,8 @@ spectra keep the invariants the theory guarantees.
 Graphs are random Eulerian graphs of up to 7 edges with integer length
 multipliers 1-3, so the exact solver applies to every map, or with random
 lengths for the eigenphase locator against a count-bisection oracle and the
-contour solver; hypothesis draws the seeds (derandomized, so every run
+contour solver; the locator also meets the oracle on shuffled direct sums of
+unitary blocks.  Hypothesis draws the seeds (derandomized, so every run
 checks the same cases).  The invariants are block splitting (the spectrum
 of a reducible map is the union of its block spectra), edge relabeling,
 length scaling, edge subdivision and vertex reduction.
@@ -21,6 +22,7 @@ from diracgraph import (
     Window,
     graph_from_edges,
     reduce_vertex,
+    rose,
     split_reducible,
     spectrum_complex,
     spectrum_exact_commensurable,
@@ -173,6 +175,44 @@ def test_reducing_a_vertex_keeps_the_spectrum(seed):
     _, reduced = reduce_vertex(subdivided, mid)
     got = spectrum_numeric(reduced, window=window)
     assert_same_entries(got, spectrum_numeric(subdivided, window=window))
+
+
+def block_diagonal_map(seed):
+    """A unitary map on a rose that is a shuffled direct sum of Haar blocks:
+    two to four random ones, then a copy of the first with equal lengths
+    (its eigenvalues come back double) and a twin with lengths times 1.0005
+    (its eigenvalues come back 0.05% off theirs)."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in rng.integers(1, 5, size=rng.integers(2, 5)):
+        u = random_unitary_g_endomorphism(rose(int(k)), rng).matrix
+        blocks.append((u, rng.uniform(0.3, 2.0, size=k)))
+    blocks += [blocks[0], (blocks[0][0], blocks[0][1] * 1.0005)]
+    n = sum(l.size for _, l in blocks)
+    m, lengths, at = np.zeros((n, n), dtype=complex), np.empty(n), 0
+    for u, l in blocks:
+        m[at : at + l.size, at : at + l.size], lengths[at : at + l.size] = u, l
+        at += l.size
+    perm = rng.permutation(n)
+    g = graph_from_edges([(f"e{k}", "v", "v", float(lengths[i])) for k, i in enumerate(perm)])
+    lo = rng.uniform(0.5, 10.0)
+    return GEndomorphism(g, m[np.ix_(perm, perm)]), (lo, lo + rng.uniform(0.5, 4.0))
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_eigenphase_agrees_with_bisection_on_block_diagonal_maps(seed):
+    # the locator works block by block and certifies on the whole map;
+    # the oracle bisects the whole map's eigenphase count
+    a, (lo, hi) = block_diagonal_map(seed)
+    located = spectrum_numeric(a, window=(lo, hi))
+    cells = real_eigenvalues_by_bisection(
+        a, a.graph.lengths(), lo - DEDUPE_RADIUS, hi + DEDUPE_RADIUS
+    )
+    assert [e.multiplicity for e in located.eigenvalues] == [c for _, c in cells]
+    assert np.allclose(located.values(), [x for x, _ in cells], rtol=0, atol=1e-9)
+    assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+    assert located.warnings == ()
 
 
 def random_rect(rng):

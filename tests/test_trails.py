@@ -224,7 +224,7 @@ def test_spectrum_rejects_window_off_the_real_line():
         permutation_spectrum(p, window=Window.rect(-1, 1, 0.5, 1.0))
 
 
-def test_spectrum_agrees_with_scan_on_random_permutations():
+def test_spectrum_agrees_with_the_locator_on_random_permutations():
     rng = np.random.default_rng(211)
     for _ in range(12):
         g = random_eulerian_graph(rng, max_edges=6)
