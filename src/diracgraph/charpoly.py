@@ -32,10 +32,6 @@ COEFF_CLEANUP = 1e-13
 # charpoly, no exact spectrum).
 MAX_DENOMINATOR = 1000
 
-# The secular function is summed over at most this many points at a time,
-# which bounds its (points x terms) phase matrix on long point arrays.
-EVAL_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class MultiPoly:
@@ -298,34 +294,19 @@ class CharFunction:
         """Sum of coefficient magnitudes; the natural size for residuals."""
         return float(np.sum(np.abs(self._coeffs))) if self._coeffs.size else 0.0
 
-    @property
-    def total_length(self) -> float:
-        return float(np.sum(self.lengths))
-
     def eval(self, lam):
         """Value at a complex point or an array of points."""
         return self._sum(lam, self._coeffs)
 
-    def eval_deriv(self, lam):
-        """Derivative in ``lambda``; each monomial picks up ``i`` times its length."""
-        return self.eval_dk(lam, 1)
-
     def eval_dk(self, lam, k: int):
-        """k-th derivative in ``lambda``."""
+        """k-th derivative in ``lambda``; each monomial picks up ``i`` times
+        its length per derivative."""
         return self._sum(lam, (1j * self._mask_lengths) ** k * self._coeffs)
 
     def _sum(self, lam, weights):
-        """``sum_t weights_t exp(i lam L_t)``, in blocks of ``EVAL_BLOCK`` points."""
-        lam = np.asarray(lam, dtype=complex)
-        if lam.size <= EVAL_BLOCK:
-            phases = np.multiply.outer(lam, 1j * self._mask_lengths)
-            return np.exp(phases, out=phases) @ weights
-        flat = lam.ravel()
-        blocks = [
-            self._sum(flat[s : s + EVAL_BLOCK], weights)
-            for s in range(0, flat.size, EVAL_BLOCK)
-        ]
-        return np.concatenate(blocks).reshape(lam.shape)
+        """``sum_t weights_t exp(i lam L_t)``."""
+        phases = np.multiply.outer(np.asarray(lam, dtype=complex), 1j * self._mask_lengths)
+        return np.exp(phases, out=phases) @ weights
 
     def __call__(self, lam):
         return self.eval(lam)

@@ -58,7 +58,6 @@ from .jsonio import (
     topology_to_json,
 )
 from .spectrum import (
-    MAX_EXPECTED_ROOTS,
     Window,
     spectrum_complex,
     spectrum_exact_commensurable,
@@ -75,20 +74,6 @@ from .trails import (
 EXIT_OK = 0
 EXIT_REFUSAL = 1
 EXIT_BAD_INPUT = 2
-
-# The exact solver eigensolves the subdivided map of size d = sum m_e, at
-# a cost growing as d**3 (about 5 s at d = 1000 on one core); above this
-# bound a unitary map goes to the eigenphase locator and any other map is
-# refused.
-MAX_EXACT_DEGREE = 1000
-
-# The eigenphase locator costs about EIGENPHASE_COST * n**3 per expected
-# eigenvalue of the window on an irreducible map, its worst case: a map that
-# splits into blocks pays n_b**3 per expected eigenvalue of block b.  A
-# unitary map within the degree bound goes to it when that worst case is
-# below the exact solver's d**3 and the window is one the locator takes (at
-# most MAX_EXPECTED_ROOTS eigenvalues).
-EIGENPHASE_COST = 8
 
 
 def _emit(payload, fmt: str, pretty_lines=None) -> None:
@@ -222,55 +207,19 @@ def cmd_spectrum(args) -> int:
 
     a = _resolve_endomorphism(bc, g)
     lengths = g.lengths()
-    commensurable = detect_commensurable(lengths)
-    degree = sum(commensurable[0]) if commensurable is not None else None
-
-    mode = args.mode
-    if mode is None:
-        if args.rect is not None:
-            mode = "contour"
-        elif is_unitary(a):
-            mode = "eigenphase"
-            if degree is not None and degree <= MAX_EXACT_DEGREE:
-                expected = (window.re_max - window.re_min) * sum(lengths) / (2 * np.pi)
-                if not (
-                    expected <= MAX_EXPECTED_ROOTS
-                    and EIGENPHASE_COST * expected * g.n_edges**3 < degree**3
-                ):
-                    mode = "exact"
-        elif degree is not None and degree <= MAX_EXACT_DEGREE:
-            mode = "exact"
-        elif degree is not None:
-            raise DiracGraphError(
-                f"exact solver degree {degree} exceeds {MAX_EXACT_DEGREE} and the "
-                "edge map is not unitary; pass --contour with --rect"
-            )
-        else:
-            raise DiracGraphError(
-                "edge map is not unitary and lengths are incommensurable; "
-                "pass --contour with --rect to search a complex rectangle"
-            )
-
-    if mode == "exact":
-        if commensurable is None:
-            raise DiracGraphError(
-                "edge lengths are not commensurable; use --contour"
-            )
-        if degree > MAX_EXACT_DEGREE:
-            raise DiracGraphError(
-                f"exact solver degree {degree} exceeds {MAX_EXACT_DEGREE}; "
-                "use --contour"
-            )
-        mult, delta = commensurable
-        report = spectrum_exact_commensurable(
-            a, mult, delta, window, residual_tol=tol
-        )
-    elif mode == "eigenphase":
+    if rect is not None:
+        report = spectrum_complex(a, lengths, rect, residual_tol=tol)
+    elif is_unitary(a):
         report = spectrum_numeric(a, lengths, window, residual_tol=tol)
     else:
-        if rect is None:
-            raise DiracGraphError("contour solver needs --rect RE0 RE1 IM0 IM1")
-        report = spectrum_complex(a, lengths, rect, residual_tol=tol)
+        commensurable = detect_commensurable(lengths)
+        if commensurable is None:
+            raise DiracGraphError(
+                "edge map is not unitary and lengths are incommensurable; "
+                "pass --rect to search a complex rectangle"
+            )
+        mult, delta = commensurable
+        report = spectrum_exact_commensurable(a, mult, delta, window, residual_tol=tol)
 
     for w in report.warnings:
         _warn(w)
@@ -463,23 +412,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "spectrum", parents=[common], help="eigenvalues of a boundary condition",
-        description="Eigenvalues of a boundary condition. Unless a solver is "
-        "forced, a --rect goes to the contour solver. A unitary map with "
-        f"commensurable lengths and d = sum m_e <= {MAX_EXACT_DEGREE} goes to "
-        f"the eigenphase locator when {EIGENPHASE_COST} * expected * n**3 < "
-        "d**3 (expected = window width * total length / 2 pi, n edges; n**3 "
-        "is the cost of an irreducible map, the worst case) and "
-        f"expected <= {MAX_EXPECTED_ROOTS}, else to the exact solver; any "
-        "other unitary map goes to the eigenphase locator. Any other map "
-        f"with d <= {MAX_EXACT_DEGREE} goes to the exact solver.",
+        description="Eigenvalues of a boundary condition. A --rect goes to the "
+        "contour solver. Otherwise a unitary map goes to the eigenphase "
+        "locator, which locates one period of a spectrum with commensurable "
+        "lengths and translates it across the window; any other map goes to "
+        "the exact solver if its lengths are commensurable and is refused "
+        "if they are not.",
     )
     p.add_argument("graph")
     p.add_argument("--bc", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", dest="mode", action="store_const", const="exact",
-                       help="force the commensurable-lengths solver")
-    group.add_argument("--contour", dest="mode", action="store_const", const="contour",
-                       help="force the complex contour solver")
     p.add_argument("--window", nargs=2, type=float, default=(-10.0, 10.0),
                    metavar=("A", "B"), help="real window (default -10 10)")
     p.add_argument("--rect", nargs=4, type=float, default=None,
@@ -489,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest residual, the smallest singular value of "
                         "diag(exp(i lambda l)) - A relative to its scale "
                         "(default 1e-10)")
-    p.set_defaults(func=cmd_spectrum, mode=None)
+    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("charpoly", parents=[common],
                        help="characteristic polynomial of an edge map")

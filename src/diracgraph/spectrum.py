@@ -8,14 +8,15 @@ one only proposes candidate zeros:
 
 * commensurable lengths make ``z = exp(i lambda delta)`` an eigenvalue of
   the subdivided edge map; its nonzero eigenvalues generate periodic
-  eigenvalue families (exact route),
+  eigenvalue families (exact route, for maps that are not unitary),
 * unitary maps have real spectrum: ``lambda`` is an eigenvalue where the
   unitary ``S(lambda) = diag(exp(-i lambda l)) A`` has the eigenvalue 1, and
   the eigenphases of ``S``, read off its Cayley transform, count the
   eigenvalues of any real cell exactly; the eigenphase locator bisects
   cells by that count and pins each eigenvalue by bracketed Newton on
   ``det(I - S)``, once per irreducible block of the map, at a cost of
-  ``sum_b expected_b n_b**3``,
+  ``sum_b expected_b n_b**3``; with commensurable lengths it locates at
+  most one period ``2 pi / delta`` of the spectrum and translates it,
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
@@ -43,7 +44,7 @@ import numpy as np
 from .boundary import BoundarySubspace, GEndomorphism, is_unitary
 # Not called here: perfbench/spans.py wraps spectrum.char_function when it traces.
 from .charpoly import char_function  # noqa: F401
-from .charpoly import edge_classes
+from .charpoly import detect_commensurable, edge_classes
 from .errors import ContourError, DiracGraphError, WindowTooLargeError
 from . import linalg
 
@@ -55,10 +56,16 @@ RESIDUAL_TOL = 1e-10
 RANK_RTOL = 1e-8
 DEDUPE_RADIUS = 1e-7
 
-# Refuse real windows expected to contain more roots than this, and exact
-# windows holding more members of the eigenvalue families than that.
+# Refuse real windows expected to contain more roots to locate than this,
+# and windows holding more members of periodic eigenvalue families to list
+# than that.
 MAX_EXPECTED_ROOTS = 10**5
 MAX_FAMILY_MEMBERS = 5 * 10**5
+
+# The exact solver eigensolves the subdivided map of size d = sum m_e, at a
+# cost growing as d**3 (about 5 s at d = 1000 on one core), and refuses a
+# larger degree.
+MAX_EXACT_DEGREE = 1000
 
 # Stacked SVD and eigenvalue calls take at most this many matrices at once.
 STACK_CHUNK = 64
@@ -435,9 +442,10 @@ def spectrum_exact_commensurable(
     are discarded.  Each root
     ``z`` with argument ``phi`` in ``[0, 2 pi)`` and modulus ``exp(alpha)``
     yields the eigenvalue family ``(phi + 2 pi k - i alpha) / delta`` over
-    all integers ``k``; the report lists the members inside the window.  The
-    members are counted before any is built, and a window holding more than
-    ``MAX_FAMILY_MEMBERS`` is refused.  For a unitary map on a real window
+    all integers ``k``; the report lists the members inside the window.  A
+    degree ``d`` above ``MAX_EXACT_DEGREE`` is refused before the eigensolve.
+    The members are counted before any is built, and a window holding more
+    than ``MAX_FAMILY_MEMBERS`` is refused.  For a unitary map on a real window
     the report's ``winding`` is the eigenphase count of the window widened
     by ``DEDUPE_RADIUS``, a check on the listed multiplicities.
     """
@@ -450,6 +458,11 @@ def spectrum_exact_commensurable(
         mult = [int(m) for m in multipliers]
     if any(m <= 0 for m in mult):
         raise ValueError("multipliers must be positive integers")
+    if sum(mult) > MAX_EXACT_DEGREE:
+        raise DiracGraphError(
+            f"exact solver degree {sum(mult)} exceeds {MAX_EXACT_DEGREE}; "
+            "use the contour solver on a rectangle instead"
+        )
     lengths = np.array(mult, dtype=float) * delta
 
     roots = np.linalg.eigvals(_subdivided_map(a.matrix, mult))
@@ -625,19 +638,23 @@ def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]
     return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
 
 
-def _real_window(window: Window, lengths) -> tuple[float, float, float]:
-    """Checked bounds of a real window widened by ``DEDUPE_RADIUS``, and its
-    width; the expected eigenvalue count ``width L / 2 pi`` is bounded."""
+def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float, float]:
+    """Checked bounds of a real window widened by ``DEDUPE_RADIUS``, and the
+    width to locate: the window's, or one ``period`` of a periodic spectrum
+    if that is shorter.  The eigenvalues located, ``min(width, period) L /
+    2 pi``, are bounded by ``MAX_EXPECTED_ROOTS``, and those listed, ``width
+    L / 2 pi``, by ``MAX_FAMILY_MEMBERS``."""
     if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
         raise ValueError("real-axis solver needs a window containing the real line")
-    width = window.re_max - window.re_min
-    expected = width * float(np.sum(lengths)) / (2 * math.pi)
-    if expected > MAX_EXPECTED_ROOTS:
+    width, total = window.re_max - window.re_min, float(np.sum(lengths))
+    span = min(width, period)
+    expected = width * total / (2 * math.pi)
+    if span * total / (2 * math.pi) > MAX_EXPECTED_ROOTS or expected > MAX_FAMILY_MEMBERS:
         raise WindowTooLargeError(
             f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
             "split it into smaller pieces"
         )
-    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS, width
+    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS, span
 
 
 def _require_unitary(a) -> None:
@@ -667,26 +684,58 @@ def spectrum_numeric(
     (:func:`_phase_sums`), count the eigenvalues in each cell exactly
     (:func:`_counts`); cells are bisected until each holds one, which
     bracketed Newton on ``det(I - S_b)`` pins, or is too narrow to split,
-    which is one multiple candidate.  The candidates of all blocks are
-    certified on the whole map.  The cost grows as ``sum_b expected_b
-    n_b**3``, at most ``expected n**3``, with no polynomial expansion and no
-    edge cap.  The report's ``winding``, the sum of the block counts of the
-    window widened by ``DEDUPE_RADIUS``, checks the listed multiplicities.
-    For a map that is not unitary the spectrum need not be real and this
-    solver refuses; use the contour solver instead.
+    which is one multiple candidate.  For commensurable lengths ``l_e = m_e
+    delta`` (:func:`detect_commensurable`) ``S`` has the period ``P = 2 pi /
+    delta``: a window wider than that has one period of its tiling ``[lo +
+    k P, lo + (k + 1) P)`` located, the one next to the origin, and its
+    candidates translated by whole periods across the window.  The
+    candidates of all blocks are certified on the whole map, every listed
+    one by its own rank test.  The cost grows as ``sum_b expected_b
+    n_b**3`` over at most one period, at most ``expected n**3``, with no
+    polynomial expansion and no edge cap; :func:`_real_window` bounds the
+    eigenvalues located and listed.  The report's ``winding``, the sum of
+    the block counts of the window widened by ``DEDUPE_RADIUS``, checks the
+    listed multiplicities; where a period was translated, each block is
+    counted on the whole window, which checks the translation.  For a map
+    that is not unitary the spectrum need not be real and this solver
+    refuses; use the contour solver instead.
     """
     window = as_window(window)
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
-    lo, hi, width = _real_window(window, lengths)
+    commensurable = detect_commensurable(lengths)
+    period = 2 * math.pi / commensurable[1] if commensurable else math.inf
+    lo, hi, span = _real_window(window, lengths, period)
     _require_unitary(a)
+    periodic = lo + period < hi
+    base, top = lo, hi
+    if periodic:
+        # the located period starts in (-P, 0]: near the origin its
+        # eigenvalues carry the least rounding
+        first = math.ceil(lo / period)
+        base = lo - first * period
+        top = base + period
+        turns = range(first, first + math.ceil((hi - lo) / period))
+        # head has 24 bits, so k * head is exact (|k| < 2**29) and fsum
+        # rounds each translate x + k P once
+        head = float(np.float32(period))
+        tail = period - head
     candidates, winding = [], 0
     for idx in edge_classes(a.matrix):
         m, l = a.matrix[np.ix_(idx, idx)], lengths[idx]
-        xs = np.linspace(lo, hi, max(1, math.ceil(width * l.sum() / (2 * math.pi))) + 1)
+        xs = np.linspace(base, top, max(1, math.ceil(span * l.sum() / (2 * math.pi))) + 1)
         p = _phase_sums(m, l, xs)
         count = _counts(float(l.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
-        candidates += _locate(m, l, xs[:-1], xs[1:], p[:-1], p[1:], count)
-        winding += int(count.sum())
+        located = _locate(m, l, xs[:-1], xs[1:], p[:-1], p[1:], count)
+        if periodic:
+            located = [
+                (math.fsum((x.real, k * head, k * tail)), hint)
+                for k in turns
+                for x, hint in located
+            ]
+            winding += _window_count(m, l, lo, hi)
+        else:
+            winding += int(count.sum())
+        candidates += located
     warnings: list[str] = []
     entries = _certified_entries(
         a, lengths, window, candidates, residual_tol, warnings, real_axis=True

@@ -13,6 +13,7 @@ from diracgraph import (
     graph_from_edges,
     graph_of,
     rose,
+    spectrum_exact_commensurable,
 )
 from diracgraph.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_REFUSAL, main
 from diracgraph.families import directed_cycle
@@ -110,18 +111,19 @@ def test_index_of_zero_subspace(tmp_path, capsys):
 
 
 def test_spectrum_routes_exact_for_commensurable(tmp_path, capsys):
+    # a map that is not unitary: exp(i lambda) = 2 at 2 pi k - i ln 2
     g = rose(1)
     gp = write_graph(tmp_path, g)
-    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    bc = write_json(tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, np.array([[2.0]]))))
     rc, payload, _ = run_json(
         capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "7"]
     )
     assert rc == EXIT_OK
     assert payload["solver"] == "exact-commensurable"
-    values = [(e["re"], e["mult"]) for e in payload["eigenvalues"]]
-    assert len(values) == 2
-    assert values[0][0] == pytest.approx(0.0, abs=1e-9)
-    assert values[1][0] == pytest.approx(2 * math.pi)
+    values = [(complex(e["re"], e["im"]), e["mult"]) for e in payload["eigenvalues"]]
+    assert [m for _, m in values] == [1, 1]
+    want = [-1j * math.log(2), 2 * math.pi - 1j * math.log(2)]
+    assert [v for v, _ in values] == pytest.approx(want, abs=1e-9)
 
 
 def test_spectrum_routes_incommensurable_unitary_to_the_locator(tmp_path, capsys):
@@ -183,7 +185,7 @@ def test_spectrum_refuses_incommensurable_non_unitary(tmp_path, capsys):
     )
     rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc])
     assert rc == EXIT_REFUSAL
-    assert "refused" in err
+    assert "refused" in err and "--rect" in err
 
 
 def test_spectrum_dimension_mismatch_means_whole_plane(tmp_path, capsys):
@@ -245,9 +247,6 @@ def test_spectrum_routes_large_degree_to_the_locator(tmp_path, capsys):
     rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc])
     assert time.perf_counter() - start < 1.0
     assert rc == EXIT_OK and payload["solver"] == "eigenphase"
-    rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc, "--exact"])
-    assert rc == EXIT_REFUSAL
-    assert "--contour" in err
 
 
 def test_spectrum_refuses_large_degree_for_non_unitary_map(tmp_path, capsys):
@@ -257,7 +256,7 @@ def test_spectrum_refuses_large_degree_for_non_unitary_map(tmp_path, capsys):
     bc = write_json(tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, m)))
     rc, _, err = run(capsys, ["spectrum", gp, "--bc", bc])
     assert rc == EXIT_REFUSAL
-    assert "--contour" in err
+    assert "rectangle" in err and "--contour" not in err
 
 
 def test_spectrum_exact_on_thirty_edges(tmp_path, capsys):
@@ -265,7 +264,7 @@ def test_spectrum_exact_on_thirty_edges(tmp_path, capsys):
     gp, bc = write_cycle_permutation(tmp_path, [1.0] * 30)
     rc, payload, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "1"])
     assert rc == EXIT_OK
-    assert payload["solver"] == "exact-commensurable"
+    assert payload["solver"] == "eigenphase"
     values = [(e["re"], e["mult"]) for e in payload["eigenvalues"]]
     want = [2 * math.pi * k / 30 for k in range(-4, 5)]
     assert [m for _, m in values] == [1] * len(want)
@@ -282,33 +281,34 @@ def write_unitary_walk(tmp_path, edges, lengths, seed):
     return write_graph(tmp_path, g), write_json(tmp_path, "bc.json", endomorphism_to_json(a)), a
 
 
-def test_spectrum_routes_cheap_windows_to_the_eigenphase_locator(tmp_path, capsys):
-    # d = 300 and about 40 eigenvalues in the window: 8 * 40 * 6**3 < 300**3
+def test_spectrum_locator_lists_what_the_exact_solver_lists(tmp_path, capsys):
+    # d = 300 and about 40 eigenvalues in the window, a fraction of a period
     edges = [("u", "u"), ("u", "v"), ("v", "u"), ("v", "v"), ("u", "v"), ("v", "u")]
     mult = [37, 53, 41, 61, 47, 61]
-    gp, bc, _ = write_unitary_walk(tmp_path, edges, np.multiply(mult, 10.0 / 300), 11)
-    window = ["--window", "3.0", str(3.0 + 80 * math.pi / 10)]
+    gp, bc, a = write_unitary_walk(tmp_path, edges, np.multiply(mult, 10.0 / 300), 11)
+    lo, hi = 3.0, 3.0 + 80 * math.pi / 10
+    window = ["--window", str(lo), str(hi)]
     rc, located, err = run_json(capsys, ["spectrum", gp, "--bc", bc] + window)
     assert rc == EXIT_OK and err == ""
     assert located["solver"] == "eigenphase" and located["warnings"] == []
-    rc, exact, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--exact"] + window)
-    assert exact["solver"] == "exact-commensurable"
+    exact = spectrum_exact_commensurable(a, mult, 10.0 / 300, (lo, hi))
     got = [(e["re"], e["mult"]) for e in located["eigenvalues"]]
-    want = [(e["re"], e["mult"]) for e in exact["eigenvalues"]]
+    want = [(e.value.real, e.multiplicity) for e in exact.eigenvalues]
     assert 35 <= len(want) <= 45
     assert [m for _, m in got] == [m for _, m in want]
     assert [v for v, _ in got] == pytest.approx([v for v, _ in want], abs=1e-9)
     assert located["winding"] == sum(m for _, m in got)
 
 
-def test_spectrum_keeps_windows_past_the_locator_bound_on_the_exact_route(tmp_path, capsys):
-    # lengths (1, 1.004) give d = 501 on 2 edges: the cost rule favours the
-    # locator, but the window holds about 1.1e5 eigenvalues, more than it takes
+def test_spectrum_locates_one_period_of_a_wide_commensurable_window(tmp_path, capsys):
+    # lengths (1, 1.004) give d = 501 on 2 edges: the window holds about
+    # 1.1e5 eigenvalues, 223 periods of 2 pi / 0.004; one is located
     gp, bc, _ = write_unitary_walk(tmp_path, [("u", "u"), ("u", "u")], [1.0, 1.004], 3)
     rc, payload, err = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "0", "3.5e5"])
     assert rc == EXIT_OK and err == ""
-    assert payload["solver"] == "exact-commensurable" and payload["warnings"] == []
+    assert payload["solver"] == "eigenphase" and payload["warnings"] == []
     count = sum(e["mult"] for e in payload["eigenvalues"])
+    assert payload["winding"] == count
     assert abs(count - 3.5e5 * 2.004 / (2 * math.pi)) < 3
 
 
@@ -344,8 +344,8 @@ def test_spectrum_refuses_oversized_rectangles_at_once(tmp_path, capsys, re1):
 
 
 def test_spectrum_refuses_exact_windows_it_cannot_list(tmp_path, capsys):
-    # the window is too wide for the locator, so the exact route takes it;
-    # it would list about 1.4e300 family members
+    # one period of 2 pi is located, but the window would list about
+    # 1.4e300 of its translates
     gp = write_graph(tmp_path, rose(1))
     bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
     start = time.perf_counter()
@@ -625,21 +625,20 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
-    # lengths 0.3 and 0.7 give d = 10: a short window routes to the
-    # eigenphase locator unless --exact forces the exact solver
+    # a --rect goes to the contour solver, a --window to the eigenphase locator
     g = graph_from_edges([("a", "u", "u", 0.3), ("b", "u", "u", 0.7)])
     gp = write_graph(tmp_path, g)
     bc = write_json(tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, np.eye(2))))
-    forced = ["spectrum", gp, "--bc", bc, "--window", "-1", "10", "--exact"]
-    rc, first, _ = run(capsys, forced)
-    assert rc == EXIT_OK and json.loads(first)["solver"] == "exact-commensurable"
-    rc, routed, _ = run_json(capsys, forced[:-1])
+    rect = ["spectrum", gp, "--bc", bc, "--rect", "-1", "10", "-1", "1"]
+    rc, first, _ = run(capsys, rect)
+    assert rc == EXIT_OK and json.loads(first)["solver"] == "contour"
+    rc, routed, _ = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "10"])
     assert rc == EXIT_OK and routed["solver"] == "eigenphase"
     for argv in (["--version"], ["spectrum", gp, "--bc", bc, "--no-such-option"]):
         with pytest.raises(SystemExit):
             main(argv)
         capsys.readouterr()
-    rc, again, _ = run(capsys, forced)
+    rc, again, _ = run(capsys, rect)
     assert rc == EXIT_OK and again == first
 
 
@@ -689,6 +688,8 @@ def test_output_is_deterministic(tmp_path, capsys):
         ["charpoly", "--adjacency", "--tol", "1e-10"],
         ["trails", "--enumerate", "--tol", "1e-10"],
         ["topology", "--tol", "1e-10"],
+        ["spectrum", "--bc", "bc.json", "--exact"],
+        ["spectrum", "--bc", "bc.json", "--contour"],
     ],
 )
 def test_options_that_would_do_nothing_are_rejected(tmp_path, argv):

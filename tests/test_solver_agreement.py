@@ -100,6 +100,13 @@ def test_exact_and_eigenphase_agree_on_unitary_maps(seed):
     located = spectrum_numeric(a, np.multiply(mult, delta), window)
     assert_same_entries(located, exact)
     assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+    # 2-40 periods of 2 pi / delta: one is located, the rest translated
+    lo = rng.uniform(-10.0, 10.0)
+    window = (lo, lo + rng.uniform(2.0, 40.0) * 2 * np.pi / delta)
+    exact = spectrum_exact_commensurable(a, mult, delta, window)
+    located = spectrum_numeric(a, np.multiply(mult, delta), window)
+    assert_same_entries(located, exact)
+    assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
 
 
 def incommensurable_map(seed):

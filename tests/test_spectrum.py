@@ -1,6 +1,7 @@
 """Eigenvalue solvers: exact commensurable, eigenphase locator, contour search."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -380,24 +381,6 @@ def test_scan_high_multiplicity_lattice():
         assert np.allclose(rep.values(), [0.0, 2 * math.pi], atol=1e-9)
 
 
-def test_scan_refuses_nonunitary():
-    g, a = scaled_identity_rose(1, 2.0)
-    with pytest.raises(DiracGraphError, match="unitary"):
-        spectrum_numeric(a, window=(-1.0, 1.0))
-
-
-def test_scan_rejects_window_off_the_real_line():
-    g, a = scaled_identity_rose(1, 1.0)
-    with pytest.raises(ValueError):
-        spectrum_numeric(a, window=Window.rect(-1, 1, 0.5, 1.0))
-
-
-def test_scan_window_size_guard():
-    g, a = scaled_identity_rose(1, 1.0)
-    with pytest.raises(WindowTooLargeError):
-        spectrum_numeric(a, window=(-1e6, 1e6))
-
-
 def test_scan_eigenfunctions_solve_the_edge_equation():
     rng = np.random.default_rng(107)
     g = random_eulerian_graph(rng, max_edges=4)
@@ -449,15 +432,37 @@ def test_eigenphase_rose_identity_multiplicities():
     assert rep.winding == 18 and rep.warnings == ()
 
 
-def test_eigenphase_refuses_what_the_scan_refuses():
+def test_eigenphase_refusals():
     g, a = scaled_identity_rose(1, 2.0)
     with pytest.raises(DiracGraphError, match="unitary"):
         spectrum_numeric(a, window=(-1.0, 1.0))
     g, a = scaled_identity_rose(1, 1.0)
     with pytest.raises(ValueError):
         spectrum_numeric(a, window=Window.rect(-1, 1, 0.5, 1.0))
-    with pytest.raises(WindowTooLargeError):
-        spectrum_numeric(a, window=(-1e6, 1e6))
+    # incommensurable lengths: about 1.15e5 eigenvalues to locate, past 1e5
+    g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", math.sqrt(2))])
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLargeError, match="smaller pieces"):
+        spectrum_numeric(GEndomorphism(g, np.eye(2)), window=(0.0, 3e5))
+    assert time.perf_counter() - start < 1.0
+    # commensurable lengths: one period of 2 pi is located, but its
+    # translates would list about 6.4e5 eigenvalues, past 5e5
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLargeError, match="smaller pieces"):
+        spectrum_numeric(a, window=(-2e6, 2e6))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("lo", [9e5, -9.5e5])
+def test_eigenphase_translates_a_period_to_far_windows(lo):
+    # exp(i lambda) = exp(0.3 i): 637 eigenvalues 0.3 + 2 pi k in a window of
+    # about 637 periods near |lambda| = 1e6, where one float step is 1.2e-10;
+    # each translate of the period next to the origin is rounded once
+    g = rose(1)
+    rep = spectrum_numeric(GEndomorphism(g, np.array([[np.exp(0.3j)]])), window=(lo, lo + 4000))
+    ks = range(math.ceil((lo - 0.3) / (2 * math.pi)), math.floor((lo + 4000 - 0.3) / (2 * math.pi)) + 1)
+    assert rep.values() == pytest.approx([0.3 + 2 * math.pi * k for k in ks], abs=1e-9)
+    assert rep.warnings == () and rep.winding == len(ks) == 637
 
 
 def test_eigenphase_count_reads_the_window_ends():
