@@ -75,6 +75,11 @@ STACK_CHUNK = 64
 CELL_FLOOR = 1e-9
 MAX_PHASE_STEPS = 50
 
+# Commensurable lengths give a periodic spectrum, whose located period is
+# translated, only where l_e = m_e delta holds to PERIOD_RTOL relative, four
+# units of float rounding.
+PERIOD_RTOL = 4 * 2.0**-52
+
 # Contour panels: QUAD_ORDER Gauss-Legendre nodes, at most MAX_HALVINGS
 # halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.  A
 # rectangle whose first round needs more than MAX_PANELS panels is refused.
@@ -638,23 +643,41 @@ def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]
     return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
 
 
-def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float, float]:
-    """Checked bounds of a real window widened by ``DEDUPE_RADIUS``, and the
-    width to locate: the window's, or one ``period`` of a periodic spectrum
-    if that is shorter.  The eigenvalues located, ``min(width, period) L /
-    2 pi``, are bounded by ``MAX_EXPECTED_ROOTS``, and those listed, ``width
-    L / 2 pi``, by ``MAX_FAMILY_MEMBERS``."""
+def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float]:
+    """Checked bounds of a real window, widened by ``DEDUPE_RADIUS``.  The
+    eigenvalues located, ``min(width, period) L / 2 pi`` for a spectrum of
+    that period, are bounded by ``MAX_EXPECTED_ROOTS``, and those listed,
+    ``width L / 2 pi``, by ``MAX_FAMILY_MEMBERS``."""
     if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
         raise ValueError("real-axis solver needs a window containing the real line")
     width, total = window.re_max - window.re_min, float(np.sum(lengths))
-    span = min(width, period)
     expected = width * total / (2 * math.pi)
-    if span * total / (2 * math.pi) > MAX_EXPECTED_ROOTS or expected > MAX_FAMILY_MEMBERS:
+    located = min(width, period) * total / (2 * math.pi)
+    if located > MAX_EXPECTED_ROOTS or expected > MAX_FAMILY_MEMBERS:
         raise WindowTooLargeError(
             f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
             "split it into smaller pieces"
         )
-    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS, span
+    return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
+
+
+def _period(lengths) -> float:
+    """Period ``2 pi / delta`` of the spectrum for lengths ``l_e = m_e
+    delta``, or ``inf``.
+
+    :func:`detect_commensurable` accepts lengths within relative ``1e-9`` of
+    ``m_e delta``, but a candidate translated to ``lambda`` drifts from its
+    eigenvalue by about ``|lambda| |l_e - m_e delta|``: enough, on a wide
+    window, to land on another eigenvalue.  Only lengths matching to
+    ``PERIOD_RTOL``, the rounding of ``m_e delta``, have a period.
+    """
+    found = detect_commensurable(lengths)
+    if found is None:
+        return math.inf
+    mult, delta = found
+    if np.any(np.abs(np.multiply(mult, delta) - lengths) > PERIOD_RTOL * lengths):
+        return math.inf
+    return 2 * math.pi / delta
 
 
 def _require_unitary(a) -> None:
@@ -684,8 +707,8 @@ def spectrum_numeric(
     (:func:`_phase_sums`), count the eigenvalues in each cell exactly
     (:func:`_counts`); cells are bisected until each holds one, which
     bracketed Newton on ``det(I - S_b)`` pins, or is too narrow to split,
-    which is one multiple candidate.  For commensurable lengths ``l_e = m_e
-    delta`` (:func:`detect_commensurable`) ``S`` has the period ``P = 2 pi /
+    which is one multiple candidate.  For lengths ``l_e = m_e delta`` that
+    hold to rounding (:func:`_period`) ``S`` has the period ``P = 2 pi /
     delta``: a window wider than that has one period of its tiling ``[lo +
     k P, lo + (k + 1) P)`` located, the one next to the origin, and its
     candidates translated by whole periods across the window.  The
@@ -702,9 +725,8 @@ def spectrum_numeric(
     """
     window = as_window(window)
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
-    commensurable = detect_commensurable(lengths)
-    period = 2 * math.pi / commensurable[1] if commensurable else math.inf
-    lo, hi, span = _real_window(window, lengths, period)
+    period = _period(lengths)
+    lo, hi = _real_window(window, lengths, period)
     _require_unitary(a)
     periodic = lo + period < hi
     base, top = lo, hi
@@ -722,7 +744,8 @@ def spectrum_numeric(
     candidates, winding = [], 0
     for idx in edge_classes(a.matrix):
         m, l = a.matrix[np.ix_(idx, idx)], lengths[idx]
-        xs = np.linspace(base, top, max(1, math.ceil(span * l.sum() / (2 * math.pi))) + 1)
+        cells = max(1, math.ceil((top - base) * l.sum() / (2 * math.pi)))
+        xs = np.linspace(base, top, cells + 1)
         p = _phase_sums(m, l, xs)
         count = _counts(float(l.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
         located = _locate(m, l, xs[:-1], xs[1:], p[:-1], p[1:], count)

@@ -465,6 +465,21 @@ def test_eigenphase_translates_a_period_to_far_windows(lo):
     assert rep.warnings == () and rep.winding == len(ks) == 637
 
 
+@pytest.mark.parametrize("lo", [300.0, -1000.0])
+def test_eigenphase_translates_no_period_of_near_commensurable_lengths(lo):
+    # detect_commensurable matches 1 + 5e-10 to 1 within 1e-9, but the pairs
+    # 2 pi k and 2 pi k / (1 + 5e-10) are 3.1e-9 |k| apart, at least 1.5e-7
+    # in these windows of 111 periods: the second loop's eigenvalue 0
+    # translated by k periods would land on the first loop's 2 pi k
+    g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", 1 + 5e-10)])
+    rep = spectrum_numeric(GEndomorphism(g, np.eye(2)), window=(lo, lo + 700))
+    ks = range(math.ceil(lo / (2 * math.pi)), math.floor((lo + 700) / (2 * math.pi)) + 1)
+    want = sorted(2 * math.pi * k / l for k in ks for l in (1.0, 1 + 5e-10))
+    assert rep.values() == pytest.approx(want, rel=1e-12)
+    assert [e.multiplicity for e in rep.eigenvalues] == [1] * len(want) == [1] * 224
+    assert rep.warnings == () and rep.winding == 224
+
+
 def test_eigenphase_count_reads_the_window_ends():
     # eigenvalues 0 and 2 pi sit on the window ends and are counted and listed
     g = rose(1)
