@@ -80,7 +80,6 @@ from .spectrum import (
     SpectrumReport,
     Window,
     eigenfunction_residual,
-    general_eigencondition,
     multiplicity,
     spectrum_complex,
     spectrum_exact_commensurable,

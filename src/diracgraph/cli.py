@@ -59,6 +59,7 @@ from .jsonio import (
 )
 from .spectrum import (
     Window,
+    commensurable,
     spectrum_complex,
     spectrum_exact_commensurable,
     spectrum_numeric,
@@ -212,13 +213,13 @@ def cmd_spectrum(args) -> int:
     elif is_unitary(a):
         report = spectrum_numeric(a, lengths, window, residual_tol=tol)
     else:
-        commensurable = detect_commensurable(lengths)
-        if commensurable is None:
+        found = commensurable(lengths)
+        if found is None:
             raise DiracGraphError(
-                "edge map is not unitary and lengths are incommensurable; "
-                "pass --rect to search a complex rectangle"
+                "edge map is not unitary and lengths are not commensurable to "
+                "rounding; pass --rect to search a complex rectangle"
             )
-        mult, delta = commensurable
+        mult, delta = found
         report = spectrum_exact_commensurable(a, mult, delta, window, residual_tol=tol)
 
     for w in report.warnings:
@@ -300,6 +301,8 @@ def cmd_trails(args) -> int:
 
     if args.spectrum:
         report = permutation_spectrum(perm, g.lengths(), _window(args.window))
+        for w in report.warnings:
+            _warn(w)
         payload = _report_payload(report, args.format)
         if args.format != "csv":
             extra = {"trails": [list(t) for t in decomp.trails]}
@@ -416,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "contour solver. Otherwise a unitary map goes to the eigenphase "
         "locator, which locates one period of a spectrum with commensurable "
         "lengths and translates it across the window; any other map goes to "
-        "the exact solver if its lengths are commensurable and is refused "
-        "if they are not.",
+        "the exact solver if its lengths are commensurable to rounding and "
+        "is refused if they are not.",
     )
     p.add_argument("graph")
     p.add_argument("--bc", required=True)
@@ -451,7 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-permutation", default=None, metavar="FILE",
                    help="permutation or decomposition JSON file")
     p.add_argument("--spectrum", action="store_true",
-                   help="closed-form spectrum of the given permutation")
+                   help="spectrum of the given permutation: the closed form "
+                        "2 pi k / L per trail, each trail certified by rank "
+                        "on its own and coinciding trails merged")
     p.add_argument("--window", nargs=2, type=float, default=(-10.0, 10.0),
                    metavar=("A", "B"))
     p.set_defaults(func=cmd_trails)

@@ -6,38 +6,48 @@ diag(exp(i lambda l)) - A``, the secular function ``P_A(exp(i lambda l_1),
 .., exp(i lambda l_n))``.  Three solvers cover the practical cases, and each
 one only proposes candidate zeros:
 
-* commensurable lengths make ``z = exp(i lambda delta)`` an eigenvalue of
-  the subdivided edge map; its nonzero eigenvalues generate periodic
-  eigenvalue families (exact route, for maps that are not unitary),
+* commensurable lengths (:func:`commensurable`, the one rule for spectra)
+  make ``z = exp(i lambda delta)`` an eigenvalue of the subdivided edge map;
+  its nonzero eigenvalues generate periodic eigenvalue families (exact
+  route, for maps that are not unitary),
 * unitary maps have real spectrum: ``lambda`` is an eigenvalue where the
   unitary ``S(lambda) = diag(exp(-i lambda l)) A`` has the eigenvalue 1, and
   the eigenphases of ``S``, read off its Cayley transform, count the
   eigenvalues of any real cell exactly; the eigenphase locator bisects
   cells by that count and pins each eigenvalue by bracketed Newton on
-  ``det(I - S)``, once per irreducible block of the map, at a cost of
-  ``sum_b expected_b n_b**3``; with commensurable lengths it locates at
-  most one period ``2 pi / delta`` of the spectrum and translates it,
+  ``det(I - S)``, once per block of the map, at a cost of ``sum_b
+  expected_b n_b**3``; with commensurable lengths it locates at most one
+  period ``2 pi / delta`` of the spectrum and translates it,
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
 Every route works on ``n x n`` or ``d x d`` matrices; none expands ``P_A``.
-All three end in one shared step.  Nearby candidates are grouped (the
-group size is a multiplicity hint), every group is certified by the kernel
-dimension of ``T(lambda)`` via SVD (one stacked call for the strict test of
-all candidates), escalating through Newton polishes on ``det T`` for
-multiple zeros, and the certified values go through the same rules: a
-window with slack ``DEDUPE_RADIUS`` (plus any contour padding), a residual
-(smallest singular value of ``T``) above the tolerance drops the entry with
-a warning, rank rejections and hints above the kernel dimension (defective
-zeros) are warned, and values within ``DEDUPE_RADIUS`` of each other are
-reported once.  Multiplicities never come from root clustering, and the
-kernel vectors double as eigenfunction amplitudes.
+All three end in one shared step, which takes the edge map's matrix and
+never reads the graph.  Nearby candidates are grouped (the group size is a
+multiplicity hint), every group is certified by the kernel dimension of
+``T(lambda)`` via SVD (one stacked call for the strict test of all
+candidates), escalating through Newton polishes on ``det T`` for multiple
+zeros, and the certified values go through the same rules: a window with
+slack ``DEDUPE_RADIUS`` (plus any contour padding), a residual (smallest
+singular value of ``T``) above the tolerance plus the rounding of
+``lambda`` drops the entry with a warning, rank rejections and hints above
+the kernel dimension (defective zeros) are warned, and values within
+``DEDUPE_RADIUS`` of each other are reported once.  On the real axis a
+unitary map is block diagonal, with exact zeros between its blocks, so
+``T(lambda)`` is too and its kernel is the direct sum of the block kernels:
+each block's candidates are certified on its own ``T_b``, and entries of
+different blocks within ``DEDUPE_RADIUS`` are merged into one, their
+multiplicities added and their eigenfunctions joined
+(:func:`_certified_blocks`).  The locator's blocks and the trails of an
+edge permutation (``trails.permutation_spectrum``) both end there.
+Multiplicities never come from root clustering, and the kernel vectors
+double as eigenfunction amplitudes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +56,6 @@ from .boundary import BoundarySubspace, GEndomorphism, is_unitary
 from .charpoly import char_function  # noqa: F401
 from .charpoly import detect_commensurable, edge_classes
 from .errors import ContourError, DiracGraphError, WindowTooLargeError
-from . import linalg
 
 # Default tolerances: residuals are the smallest singular value of T relative
 # to the operand scale of the rank test, rank decisions are relative SVD
@@ -165,11 +174,11 @@ def _sorted_entries(entries) -> tuple[EigenvalueEntry, ...]:
     return tuple(sorted(entries, key=lambda e: (e.value.real, e.value.imag)))
 
 
-def _t_matrices(a, lengths, lams):
+def _t_matrices(matrix, lengths, lams):
     """``T(lam) = diag(exp(i lam l)) - A`` stacked over the points ``lams``,
     with the phases ``exp(i lam l)``."""
     phases = np.exp(1j * np.multiply.outer(lams, lengths))
-    return phases[..., None] * np.eye(lengths.size) - a.matrix, phases
+    return phases[..., None] * np.eye(lengths.size) - matrix, phases
 
 
 def multiplicity(a: GEndomorphism, lengths, lam: complex) -> tuple[int, np.ndarray]:
@@ -179,21 +188,22 @@ def multiplicity(a: GEndomorphism, lengths, lam: complex) -> tuple[int, np.ndarr
     (columns).  The kernel vectors are the edge values of eigenfunctions at
     the edge ends; zero dimension means ``lam`` is not an eigenvalue.
     """
-    return _multiplicities(a, lengths, [lam])[0][:2]
+    return _multiplicities(a.matrix, lengths, [lam])[0][:2]
 
 
-def _multiplicities(a, lengths, lams):
-    """:func:`multiplicity` at every point of ``lams``, by stacked SVDs, plus
-    the residual: the smallest singular value relative to the operand scale.
+def _multiplicities(matrix, lengths, lams):
+    """:func:`multiplicity` at every point of ``lams`` for the edge map
+    ``matrix``, by stacked SVDs, plus the residual: the smallest singular
+    value relative to the operand scale.
 
     The matrices go to LAPACK ``STACK_CHUNK`` at a time, which bounds the stack.
     """
     lengths = np.asarray(lengths, dtype=float)
     lams = np.asarray(lams, dtype=complex).ravel()
-    norm_a = float(np.linalg.norm(a.matrix))
+    norm_a = float(np.linalg.norm(matrix))
     out = []
     for s in range(0, lams.size, STACK_CHUNK):
-        t, phases = _t_matrices(a, lengths, lams[s : s + STACK_CHUNK])
+        t, phases = _t_matrices(matrix, lengths, lams[s : s + STACK_CHUNK])
         _, sv, vh = np.linalg.svd(t)
         # Threshold against the operand scale, not s[0]: at an eigenvalue of
         # a diagonal map the whole difference is tiny and every singular
@@ -218,8 +228,8 @@ def _make_entry(lengths, lam, m, kernel, residual) -> EigenvalueEntry | None:
     return EigenvalueEntry(complex(lam), m, residual, funcs)
 
 
-def _entry(a, lengths, lam) -> EigenvalueEntry | None:
-    return _make_entry(lengths, lam, *_multiplicities(a, lengths, [lam])[0])
+def _entry(matrix, lengths, lam) -> EigenvalueEntry | None:
+    return _make_entry(lengths, lam, *_multiplicities(matrix, lengths, [lam])[0])
 
 
 def _guarded_newton(value, deriv, z0):
@@ -256,7 +266,7 @@ def _guarded_newton(value, deriv, z0):
     return complex(z)
 
 
-def _polish(a, lengths, z0: complex, mult: int = 1) -> complex:
+def _polish(matrix, lengths, z0: complex, mult: int = 1) -> complex:
     """Guarded Newton on ``det T`` with the step ``mult det T / (det T)'``,
     quadratic at a zero of multiplicity ``mult``.
 
@@ -271,14 +281,14 @@ def _polish(a, lengths, z0: complex, mult: int = 1) -> complex:
     def deriv(z):
         # a stack of one: einsum sums in an order set by the operand shapes,
         # and this shape reproduces the values earlier versions reported
-        t, phases = _t_matrices(a, lengths, [z])
+        t, phases = _t_matrices(matrix, lengths, [z])
         u, s, vh = np.linalg.svd(t)
         adj_s = np.prod(np.where(others, s[..., None, :], 1.0), axis=-1)
         adj = np.einsum("...ie,...i,...ei->...e", vh.conj(), adj_s, u.conj())
         adj *= (np.linalg.det(u) * np.linalg.det(vh))[..., None]
         return np.sum(1j * lengths * phases * adj, axis=-1)[0] / mult
 
-    return _guarded_newton(lambda z: np.linalg.det(_t_matrices(a, lengths, z)[0]), deriv, z0)
+    return _guarded_newton(lambda z: np.linalg.det(_t_matrices(matrix, lengths, z)[0]), deriv, z0)
 
 
 def _group(points, radius: float) -> list[tuple[complex, int]]:
@@ -314,7 +324,7 @@ def _group(points, radius: float) -> list[tuple[complex, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups.values()]
 
 
-def _certify(a, lengths, lam, hint: int, real_axis: bool, entry):
+def _certify(matrix, lengths, lam, hint: int, real_axis: bool, entry):
     """Escalate a candidate the strict rank test rejected or found multiple.
 
     ``entry`` is the strict test's outcome at ``lam`` (``None`` when it
@@ -328,27 +338,27 @@ def _certify(a, lengths, lam, hint: int, real_axis: bool, entry):
     """
 
     def polish(z: complex, m: int) -> complex | None:
-        z = _polish(a, lengths, z, m)
+        z = _polish(matrix, lengths, z, m)
         if real_axis:
             z = complex(z.real) if abs(z.imag) <= 1e-6 else None
         return z
 
     if entry is None:
-        for m in range(max(2, hint), a.n_edges + 1):
+        for m in range(max(2, hint), lengths.size + 1):
             z = polish(complex(lam), m)
-            if z is not None and (entry := _entry(a, lengths, z)) is not None:
+            if z is not None and (entry := _entry(matrix, lengths, z)) is not None:
                 break
     if entry is not None and entry.multiplicity > 1:
         z = polish(entry.value, entry.multiplicity)
         if z is not None:
-            better = _entry(a, lengths, z)
+            better = _entry(matrix, lengths, z)
             if better is not None and better.multiplicity == entry.multiplicity:
                 entry = better
     return entry
 
 
 def _certified_entries(
-    a,
+    matrix,
     lengths,
     window: Window,
     candidates,
@@ -364,28 +374,31 @@ def _certified_entries(
     values both have to lie in the window widened by ``pad +
     DEDUPE_RADIUS``.  Every candidate gets the strict rank test in one
     stacked call; only those it rejects or finds multiple go through
-    :func:`_certify`.  A rank rejection and a residual above
-    ``residual_tol`` are warned and the candidate dropped; a hint above the
-    certified kernel dimension is warned as a defective zero.  Certified
-    values within ``DEDUPE_RADIUS`` of a kept one are collapsed into it in
-    a single sorted pass: scattered roots of one zero can all certify to the
-    same eigenvalue.
+    :func:`_certify`.  A rank rejection is warned and the candidate dropped,
+    and so is a residual above ``residual_tol`` plus the rounding of the
+    value itself, ``PERIOD_RTOL |lambda| max_e l_e``: far out, one float
+    step of ``lambda`` moves ``exp(i lambda l_e)`` by about the tolerance.
+    A hint above the certified kernel dimension is warned as a defective
+    zero.  Certified values within ``DEDUPE_RADIUS`` of a kept one are
+    collapsed into it in a single sorted pass: scattered roots of one zero
+    can all certify to the same eigenvalue.
     """
     slack = pad + DEDUPE_RADIUS
     tried = [(complex(lam), hint) for lam, hint in candidates if window.contains(lam, slack)]
     points = np.array([lam for lam, _ in tried], dtype=complex)
-    strict = _multiplicities(a, lengths, points)
+    strict = _multiplicities(matrix, lengths, points)
+    rounding = PERIOD_RTOL * float(np.max(lengths))
     entries = []
     for (lam, hint), found in zip(tried, strict):
         entry = _make_entry(lengths, lam, *found)
         if entry is None or entry.multiplicity > 1:
-            entry = _certify(a, lengths, lam, hint, real_axis, entry)
+            entry = _certify(matrix, lengths, lam, hint, real_axis, entry)
         if entry is None:
             warnings.append(f"candidate {lam:.6g} rejected by rank check")
             continue
         if not window.contains(entry.value, slack):
             continue
-        if entry.residual > residual_tol:
+        if entry.residual > residual_tol + rounding * abs(entry.value):
             warnings.append(
                 f"candidate {entry.value:.6g} dropped: residual {entry.residual:.2e}"
             )
@@ -401,6 +414,50 @@ def _certified_entries(
         if not unique or abs(entry.value - unique[-1].value) > DEDUPE_RADIUS:
             unique.append(entry)
     return tuple(unique)
+
+
+def _certified_blocks(
+    matrix, lengths, window: Window, blocks, residual_tol: float, warnings: list[str]
+) -> tuple[EigenvalueEntry, ...]:
+    """The shared step of a block diagonal map on a real window.
+
+    ``blocks`` holds ``(idx, candidates)`` pairs: the edge indices of a block
+    that exact zeros of ``matrix`` uncouple from every other edge, and the
+    candidates located on it.  ``T(lambda)`` is then block diagonal and its
+    kernel is the direct sum of the block kernels (Horn & Johnson, *Matrix
+    Analysis*, section 0.9), so each block is certified on its own ``T_b``
+    by :func:`_certified_entries`, on the real axis, and its kernel vectors
+    are embedded in the full edge space.  Entries of different blocks within
+    ``DEDUPE_RADIUS`` of a kept one are one eigenvalue: the multiplicities
+    add up, the eigenfunctions are joined and the larger residual is kept.
+    """
+    entries = []
+    for idx, candidates in blocks:
+        found = _certified_entries(
+            matrix[np.ix_(idx, idx)], lengths[idx], window, candidates, residual_tol,
+            warnings, real_axis=True,
+        )
+        if np.array_equal(idx, np.arange(lengths.size)):
+            entries += found  # the whole edge space, in edge order
+            continue
+        embed = np.eye(lengths.size)[:, idx]
+        for entry in found:
+            funcs = tuple(
+                Eigenfunction(f.eigenvalue, embed @ f.amplitudes) for f in entry.eigenfunctions
+            )
+            entries.append(replace(entry, eigenfunctions=funcs))
+    merged: list[EigenvalueEntry] = []
+    for entry in _sorted_entries(entries):
+        if merged and abs(entry.value - merged[-1].value) <= DEDUPE_RADIUS:
+            kept = merged.pop()
+            entry = EigenvalueEntry(
+                kept.value,
+                kept.multiplicity + entry.multiplicity,
+                max(kept.residual, entry.residual),
+                kept.eigenfunctions + entry.eigenfunctions,
+            )
+        merged.append(entry)
+    return tuple(merged)
 
 
 def _check_count(name: str, count: int, entries, warnings: list[str]) -> None:
@@ -506,7 +563,7 @@ def spectrum_exact_commensurable(
         for base, size, k_lo, k_hi in families
         for k in range(int(k_lo), int(k_hi) + 1)
     ]
-    entries = _certified_entries(a, lengths, window, candidates, residual_tol, warnings)
+    entries = _certified_entries(a.matrix, lengths, window, candidates, residual_tol, warnings)
     winding = None
     if window.is_real_interval and is_unitary(a):
         lo, hi = window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
@@ -661,23 +718,31 @@ def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[flo
     return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
 
 
-def _period(lengths) -> float:
-    """Period ``2 pi / delta`` of the spectrum for lengths ``l_e = m_e
-    delta``, or ``inf``.
+def commensurable(lengths) -> tuple[list[int], float] | None:
+    """Integer multipliers ``m_e`` and a base length ``delta`` with ``l_e =
+    m_e delta`` to rounding, or ``None``: the one commensurability rule of
+    the spectrum routes.
 
     :func:`detect_commensurable` accepts lengths within relative ``1e-9`` of
-    ``m_e delta``, but a candidate translated to ``lambda`` drifts from its
-    eigenvalue by about ``|lambda| |l_e - m_e delta|``: enough, on a wide
-    window, to land on another eigenvalue.  Only lengths matching to
-    ``PERIOD_RTOL``, the rounding of ``m_e delta``, have a period.
+    ``m_e delta``, but an eigenvalue computed for the lengths ``m_e delta``
+    drifts from the true one by about ``|lambda| |l_e - m_e delta|``: enough,
+    on a wide window or far from the origin, to merge two eigenvalues or
+    land on another one.  Only lengths matching to ``PERIOD_RTOL``, the
+    rounding of ``m_e delta``, count as commensurable.
     """
     found = detect_commensurable(lengths)
-    if found is None:
-        return math.inf
-    mult, delta = found
-    if np.any(np.abs(np.multiply(mult, delta) - lengths) > PERIOD_RTOL * lengths):
-        return math.inf
-    return 2 * math.pi / delta
+    if found is not None:
+        mult, delta = found
+        if np.any(np.abs(np.multiply(mult, delta) - lengths) > PERIOD_RTOL * np.asarray(lengths)):
+            return None
+    return found
+
+
+def _period(lengths) -> float:
+    """Period ``2 pi / delta`` of the spectrum for :func:`commensurable`
+    lengths, or ``inf``."""
+    found = commensurable(lengths)
+    return math.inf if found is None else 2 * math.pi / found[1]
 
 
 def _require_unitary(a) -> None:
@@ -699,29 +764,33 @@ def spectrum_numeric(
 
     ``lambda`` is an ``m``-fold eigenvalue exactly when ``S(lambda) =
     diag(exp(-i lambda l)) A`` has the eigenvalue 1 with multiplicity ``m``.
-    A block triangular unitary matrix is block diagonal, so the eigenphases
-    of ``S`` are those of the irreducible blocks of ``A`` (``edge_classes``),
-    and each block ``b`` of ``n_b`` edges and length ``L_b`` is located on
-    its own: phase sums at the ends of one cell per expected eigenvalue
-    ``width L_b / 2 pi``, from stacked Cayley transforms
-    (:func:`_phase_sums`), count the eigenvalues in each cell exactly
-    (:func:`_counts`); cells are bisected until each holds one, which
-    bracketed Newton on ``det(I - S_b)`` pins, or is too narrow to split,
-    which is one multiple candidate.  For lengths ``l_e = m_e delta`` that
-    hold to rounding (:func:`_period`) ``S`` has the period ``P = 2 pi /
-    delta``: a window wider than that has one period of its tiling ``[lo +
-    k P, lo + (k + 1) P)`` located, the one next to the origin, and its
-    candidates translated by whole periods across the window.  The
-    candidates of all blocks are certified on the whole map, every listed
-    one by its own rank test.  The cost grows as ``sum_b expected_b
-    n_b**3`` over at most one period, at most ``expected n**3``, with no
-    polynomial expansion and no edge cap; :func:`_real_window` bounds the
-    eigenvalues located and listed.  The report's ``winding``, the sum of
-    the block counts of the window widened by ``DEDUPE_RADIUS``, checks the
-    listed multiplicities; where a period was translated, each block is
-    counted on the whole window, which checks the translation.  For a map
-    that is not unitary the spectrum need not be real and this solver
-    refuses; use the contour solver instead.
+    A block triangular unitary matrix is block diagonal, so the map splits
+    into the blocks that no entry couples to each other, the classes of the
+    symmetrized support ``|A| + |A|^T`` (``edge_classes``); a map that is
+    only unitary to ``UNITARY_TOL`` can be block triangular, and this split
+    keeps its coupling entries inside one block.  The eigenphases of ``S``
+    are those of the blocks, and each block ``b`` of ``n_b`` edges and
+    length ``L_b`` is located on its own: phase sums at the ends of one cell
+    per expected eigenvalue ``width L_b / 2 pi``, from stacked Cayley
+    transforms (:func:`_phase_sums`), count the eigenvalues in each cell
+    exactly (:func:`_counts`); cells are bisected until each holds one,
+    which bracketed Newton on ``det(I - S_b)`` pins, or is too narrow to
+    split, which is one multiple candidate.  For :func:`commensurable`
+    lengths ``l_e = m_e delta`` ``S`` has the period ``P = 2 pi / delta``: a
+    window wider than that has one period of its tiling ``[lo + k P, lo + (k
+    + 1) P)`` located, the one next to the origin, and its candidates
+    translated by whole periods across the window.  Each block's candidates
+    are certified on the same block, every listed one by its own rank test
+    (:func:`_certified_blocks`), and entries of different blocks within
+    ``DEDUPE_RADIUS`` are merged, their multiplicities added.  The cost
+    grows as ``sum_b expected_b n_b**3`` over at most one period, at most
+    ``expected n**3``, with no polynomial expansion and no edge cap;
+    :func:`_real_window` bounds the eigenvalues located and listed.  The
+    report's ``winding``, the sum of the block counts of the window widened
+    by ``DEDUPE_RADIUS``, checks the listed multiplicities; where a period
+    was translated, each block is counted on the whole window, which checks
+    the translation.  For a map that is not unitary the spectrum need not be
+    real and this solver refuses; use the contour solver instead.
     """
     window = as_window(window)
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
@@ -741,8 +810,9 @@ def spectrum_numeric(
         # rounds each translate x + k P once
         head = float(np.float32(period))
         tail = period - head
-    candidates, winding = [], 0
-    for idx in edge_classes(a.matrix):
+    blocks, winding = [], 0
+    support = np.abs(a.matrix)
+    for idx in edge_classes(support + support.T):
         m, l = a.matrix[np.ix_(idx, idx)], lengths[idx]
         cells = max(1, math.ceil((top - base) * l.sum() / (2 * math.pi)))
         xs = np.linspace(base, top, cells + 1)
@@ -758,11 +828,9 @@ def spectrum_numeric(
             winding += _window_count(m, l, lo, hi)
         else:
             winding += int(count.sum())
-        candidates += located
+        blocks.append((idx, located))
     warnings: list[str] = []
-    entries = _certified_entries(
-        a, lengths, window, candidates, residual_tol, warnings, real_axis=True
-    )
+    entries = _certified_blocks(a.matrix, lengths, window, blocks, residual_tol, warnings)
     _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("eigenphase", window, entries, tuple(warnings), winding=winding)
 
@@ -770,7 +838,7 @@ def spectrum_numeric(
 # -- contour solver for general maps -------------------------------------
 
 
-def _quadrature(a, lengths, ends: np.ndarray, floor: float):
+def _quadrature(matrix, lengths, ends: np.ndarray, floor: float):
     """Nodes, weights, ``T^-1`` and ``tr(T^-1 T')`` for ``T(z) = diag(exp(i
     z l)) - A`` on the panels ``ends`` (rows: start, end), in stacked calls.
 
@@ -786,7 +854,7 @@ def _quadrature(a, lengths, ends: np.ndarray, floor: float):
         while len(ends):
             mid, half = ends.mean(axis=1), (ends[:, 1] - ends[:, 0]) / 2
             z = mid[:, None] + half[:, None] * x
-            t, phases = _t_matrices(a, lengths, z)
+            t, phases = _t_matrices(matrix, lengths, z)
             try:
                 tinv = np.linalg.inv(t)
             except np.linalg.LinAlgError:
@@ -810,7 +878,7 @@ def _panel_step(lengths) -> float:
     return min(1.0, 2.0 / lengths.sum())
 
 
-def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
+def _contour_zeros(matrix, lengths, re0, re1, im0, im1, step=None):
     """Zero count and zero estimates inside a rectangle by Beyn's method.
 
     The count ``(1/2 pi i) sum w tr(T^-1 T')`` of zeros of ``det T`` settles
@@ -831,7 +899,7 @@ def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
         for z1, z2 in zip(corners, corners[1:] + corners[:1]):
             knots = np.linspace(z1, z2, max(1, math.ceil(abs(z2 - z1) / step)) + 1)
             ends.append(np.stack([knots[:-1], knots[1:]], axis=1))
-        z, w, tinv, dlog = _quadrature(a, lengths, np.concatenate(ends), PANEL_FLOOR * rho)
+        z, w, tinv, dlog = _quadrature(matrix, lengths, np.concatenate(ends), PANEL_FLOOR * rho)
         return float((w @ dlog / (2j * math.pi)).real), z, w, tinv
 
     settled, step = step is not None, step or h
@@ -861,7 +929,7 @@ def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
         parts = [(re0, x, im0, im1), (x, re1, im0, im1)]
         if re1 - re0 < im1 - im0:
             parts = [(re0, re1, im0, y), (re0, re1, y, im1)]
-        found = [_contour_zeros(a, lengths, *part, step) for part in parts]
+        found = [_contour_zeros(matrix, lengths, *part, step) for part in parts]
         if sum(c for c, _ in found) != winding:
             raise ContourError("zero counts of the parts disagree")
         return winding, np.concatenate([e for _, e in found])
@@ -869,7 +937,7 @@ def _contour_zeros(a, lengths, re0, re1, im0, im1, step=None):
     return winding, centre + rho * np.linalg.eigvals(left.conj().T @ h1 @ right / sv)
 
 
-def _rank_groups(a, lengths, points) -> list[tuple[complex, int]]:
+def _rank_groups(matrix, lengths, points) -> list[tuple[complex, int]]:
     """Zero estimates grouped by the rank test, as ``(centroid, size)`` pairs.
 
     A defective ``m``-fold zero scatters its estimates by about
@@ -891,7 +959,7 @@ def _rank_groups(a, lengths, points) -> list[tuple[complex, int]]:
     # a point joins the tree after its link, so labels pass down in order
     label = np.arange(len(points))
     mids = (points[order] + points[link[order]]) / 2
-    for j, (m, _, _) in zip(order, _multiplicities(a, lengths, mids)):
+    for j, (m, _, _) in zip(order, _multiplicities(matrix, lengths, mids)):
         if m:
             label[j] = label[link[j]]
     groups = [label == g for g in np.unique(label)]
@@ -938,7 +1006,7 @@ def spectrum_complex(
     for attempt in range(5):
         try:
             box = (re0 - pad, re1 + pad, im0 - pad, im1 + pad)
-            winding, estimates = _contour_zeros(a, lengths, *box)
+            winding, estimates = _contour_zeros(a.matrix, lengths, *box)
             break
         except ContourError:
             pad = (attempt + 1) * max(residual_tol, 1e-7) * (1.0 + size)
@@ -948,33 +1016,16 @@ def spectrum_complex(
         warnings.append(f"contour perturbed outward by {pad:.2e} to avoid a zero")
 
     # A group's centroid restores the accuracy its scattered estimates lack.
-    groups = _rank_groups(a, lengths, estimates)
-    candidates = [(z if m > 1 else _polish(a, lengths, z), m) for z, m in groups]
-    entries = _certified_entries(a, lengths, window, candidates, residual_tol, warnings, pad=pad)
+    groups = _rank_groups(a.matrix, lengths, estimates)
+    candidates = [(z if m > 1 else _polish(a.matrix, lengths, z), m) for z, m in groups]
+    entries = _certified_entries(
+        a.matrix, lengths, window, candidates, residual_tol, warnings, pad=pad
+    )
     _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("contour", window, entries, tuple(warnings), winding=winding)
 
 
 # -- boundary conditions beyond graphs of edge maps ----------------------
-
-
-def general_eigencondition(b: BoundarySubspace, lengths, lam: complex) -> int:
-    """Eigenvalue multiplicity of ``lam`` under an arbitrary boundary subspace.
-
-    Solutions of the scalar equation at ``lam`` have traces spanned by
-    ``start_e + exp(-i lam l_e) end_e``; the multiplicity is the dimension
-    of the intersection of that solution span with ``b``, computed from the
-    rank of the stacked bases.  Conditions whose dimension differs from the
-    edge count make every complex number an eigenvalue of the full spectrum
-    problem; this function still reports the pointwise count.
-    """
-    space = b.space
-    lengths = np.asarray(lengths, dtype=float)
-    n = space.graph.n_edges
-    decay = np.exp(-1j * lam * lengths)
-    sol = space.embed_start(np.eye(n, dtype=complex)).T
-    sol += space.embed_end(np.diag(decay)).T
-    return linalg.intersection_dim(sol, b.matrix, RANK_RTOL)
 
 
 def eigenfunction_residual(b: BoundarySubspace, f: Eigenfunction, lengths=None) -> float:

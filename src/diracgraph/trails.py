@@ -5,8 +5,8 @@ the first one ends.  Its orbits traverse closed trails that partition the
 edge set, and conversely every partition of the edges into closed trails
 defines such a permutation.  The associated boundary condition has a fully
 explicit spectrum: a trail of metric length ``L`` contributes the arithmetic
-progression ``2 pi k / L``, and multiplicities count the trails whose length
-divides out the phase.
+progression ``2 pi k / L``, and multiplicities count the trails whose
+progressions meet.
 """
 
 from __future__ import annotations
@@ -20,18 +20,7 @@ import numpy as np
 from .boundary import GEndomorphism
 from .errors import EnumerationCapExceeded
 from .graph import MetricGraph
-from .spectrum import (
-    EigenvalueEntry,
-    Eigenfunction,
-    SpectrumReport,
-    Window,
-    as_window,
-    _real_window,
-    _sorted_entries,
-)
-
-# Relative tolerance for deciding that a length ratio is a whole number.
-DIVISIBILITY_RTOL = 1e-9
+from .spectrum import RESIDUAL_TOL, SpectrumReport, as_window, _certified_blocks, _real_window
 
 ENUMERATION_GUARD = 10**6
 
@@ -197,80 +186,35 @@ def loop_count_via_trace(p: GPermutation) -> int:
     return int(round(np.trace(p.to_endomorphism().matrix).real))
 
 
-def _qualifying_trails(lam: float, lengths) -> list[int]:
-    out = []
-    for j, L in enumerate(lengths):
-        ratio = lam * L / (2 * math.pi)
-        if abs(ratio - round(ratio)) <= DIVISIBILITY_RTOL * max(1.0, abs(ratio)):
-            out.append(j)
-    return out
-
-
 def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) -> SpectrumReport:
     """Closed-form spectrum of the boundary condition of an edge permutation.
 
-    Block diagonalizing over the trail decomposition, a trail of metric
-    length ``L_j`` contributes the eigenvalues ``2 pi k / L_j``.  The
-    multiplicity of a reported value is the number of trails whose length
-    times the value is a whole multiple of ``2 pi`` (within relative
-    ``DIVISIBILITY_RTOL``); zero always qualifies every trail, so its
-    multiplicity is the trail count.  Eigenfunctions are constant magnitude
-    waves supported on one qualifying trail each.  A window expected to hold
-    more than ``MAX_EXPECTED_ROOTS`` eigenvalues, ``width sum(l) / 2 pi``,
-    is refused with :class:`WindowTooLargeError` before any is listed.
+    Each trail is one cyclic block of the permutation map, and a trail of
+    metric length ``L_j`` contributes the eigenvalues ``2 pi k / L_j``.
+    These only propose: every block's candidates, hinted simple, go through
+    the shared step of the real axis (:func:`spectrum._certified_blocks`),
+    which certifies them by the rank of the trail's own ``T_b(lambda)`` and
+    merges the entries of trails that meet within ``DEDUPE_RADIUS``, adding
+    their multiplicities.  Zero is an eigenvalue of every trail, so its
+    multiplicity is the trail count.  Eigenfunctions are supported on one
+    trail each.  A window expected to hold more than ``MAX_EXPECTED_ROOTS``
+    eigenvalues, ``width sum(l) / 2 pi``, is refused with
+    :class:`WindowTooLargeError` before any is listed.
     """
     g = p.graph
     window = as_window(window)
-    if lengths is None:
-        lengths = g.lengths()
-    lengths = np.asarray(lengths, dtype=float)
-    _real_window(window, lengths)
-    d = permutation_to_decomposition(p)
-    trail_lengths = [
-        float(sum(lengths[g.edge_index(eid)] for eid in t)) for t in d.trails
-    ]
-
-    candidates: list[float] = []
-    for L in trail_lengths:
-        step = 2 * math.pi / L
-        k_lo = math.ceil(window.re_min / step - 1e-12)
-        k_hi = math.floor(window.re_max / step + 1e-12)
-        candidates.extend(k * step for k in range(k_lo, k_hi + 1))
-    candidates.sort()
-
-    entries: list[EigenvalueEntry] = []
-    m_trails = len(trail_lengths)
-    scale = 2.0**m_trails
-    i = 0
-    while i < len(candidates):
-        lam = candidates[i]
-        j = i + 1
-        group = [lam]
-        while j < len(candidates) and candidates[j] - lam <= 1e-9 * (1 + abs(lam)):
-            group.append(candidates[j])
-            j += 1
-        i = j
-        lam = group[0] if abs(group[0]) > 1e-12 else 0.0
-        qualifying = _qualifying_trails(lam, trail_lengths)
-        if not qualifying:
-            continue
-        secular = np.prod([np.exp(1j * lam * L) - 1.0 for L in trail_lengths])
-        residual = abs(complex(secular)) / scale
-        funcs = []
-        for jt in qualifying:
-            # Crossing an edge multiplies the amplitude by exp(-i lam l); a
-            # qualifying trail closes the phase loop exactly.
-            amp = np.zeros(g.n_edges, dtype=complex)
-            phase = 1.0 + 0.0j
-            for eid in d.trails[jt]:
-                ei = g.edge_index(eid)
-                amp[ei] = phase
-                phase *= np.exp(-1j * lam * lengths[ei])
-            funcs.append(Eigenfunction(complex(lam), amp))
-        entries.append(
-            EigenvalueEntry(complex(lam), len(qualifying), residual, tuple(funcs))
-        )
-    return SpectrumReport("closed-form", window, _sorted_entries(entries))
+    lengths = np.asarray(g.lengths() if lengths is None else lengths, dtype=float)
+    lo, hi = _real_window(window, lengths)
+    blocks = []
+    for trail in permutation_to_decomposition(p).trails:
+        idx = np.array([g.edge_index(eid) for eid in trail])
+        step = 2 * math.pi / float(lengths[idx].sum())
+        ks = range(math.ceil(lo / step), math.floor(hi / step) + 1)
+        blocks.append((idx, [(k * step, 1) for k in ks]))
+    warnings: list[str] = []
+    matrix = p.to_endomorphism().matrix
+    entries = _certified_blocks(matrix, lengths, window, blocks, RESIDUAL_TOL, warnings)
+    return SpectrumReport("closed-form", window, entries, tuple(warnings))
 
 
 def longest_trail_from_spectrum(report: SpectrumReport) -> tuple[float, int]:

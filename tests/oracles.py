@@ -3,8 +3,9 @@
 Each helper computes its answer the slow, direct way and shares no code
 with the routine it checks: term-by-term polynomial evaluation, the secular
 function summed straight from cycle collections, edge connectivity by
-trying every removal subset, and real eigenvalues by bisecting on the
-eigenphase count of plain ``eigvals``.
+trying every removal subset, real eigenvalues by bisecting on the
+eigenphase count of plain ``eigvals``, and eigenvalue multiplicities from
+the boundary subspace instead of the edge map.
 """
 
 import math
@@ -13,6 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from diracgraph.graph import DEFAULT_EDGE_CAP, enumerate_cycle_collections
+from diracgraph.linalg import intersection_dim
+from diracgraph.spectrum import RANK_RTOL
 
 
 def evaluate_point(poly, values) -> complex:
@@ -141,3 +144,20 @@ def real_eigenvalues_by_bisection(a, lengths, lo: float, hi: float, tol: float =
         pm = phase_sum(mid)
         stack += [(x0, p0, mid, pm), (mid, pm, x1, p1)]
     return sorted(found)
+
+
+def general_eigencondition(b, lengths, lam: complex) -> int:
+    """Eigenvalue multiplicity of ``lam`` under an arbitrary boundary subspace.
+
+    Solutions of the scalar equation at ``lam`` have traces spanned by
+    ``start_e + exp(-i lam l_e) end_e``; the multiplicity is the dimension
+    of the intersection of that solution span with ``b``, computed from the
+    rank of the stacked bases.
+    """
+    space = b.space
+    lengths = np.asarray(lengths, dtype=float)
+    n = space.graph.n_edges
+    decay = np.exp(-1j * lam * lengths)
+    sol = space.embed_start(np.eye(n, dtype=complex)).T
+    sol += space.embed_end(np.diag(decay)).T
+    return intersection_dim(sol, b.matrix, RANK_RTOL)

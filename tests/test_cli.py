@@ -188,6 +188,22 @@ def test_spectrum_refuses_incommensurable_non_unitary(tmp_path, capsys):
     assert "refused" in err and "--rect" in err
 
 
+NEAR_TWINS = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", 1 + 5e-10)])
+
+
+def test_spectrum_refuses_nearly_commensurable_non_unitary(tmp_path, capsys):
+    # detect_commensurable matches 1 + 5e-10 to 1 within 1e-9; the exact
+    # route on the rounded lengths would list one double eigenvalue at
+    # 1005.309649149 where the given lengths have two simple ones
+    gp = write_graph(tmp_path, NEAR_TWINS)
+    bc = write_json(
+        tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(NEAR_TWINS, 2 * np.eye(2)))
+    )
+    rc, out, err = run(capsys, ["spectrum", gp, "--bc", bc, "--window", "1000", "1010"])
+    assert rc == EXIT_REFUSAL and out == ""
+    assert "refused" in err and "--rect" in err
+
+
 def test_spectrum_dimension_mismatch_means_whole_plane(tmp_path, capsys):
     gp = write_graph(tmp_path, rose(1))
     bc = write_json(tmp_path, "bc.json", {"type": "subspace", "basis": []})
@@ -463,6 +479,23 @@ def test_trails_spectrum_from_decomposition_file(tmp_path, capsys):
     expected = [0.0, 2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi]
     assert [r[0] for r in res] == pytest.approx(expected, abs=1e-12)
     assert [r[1] for r in res] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("lo, want", [(1000.0, 2), (1e5, 4)])
+def test_trails_spectrum_keeps_close_eigenvalues_of_different_trails(tmp_path, capsys, lo, want):
+    # the two loops' lattices 2 pi k and 2 pi k / (1 + 5e-10) pair up 5e-7
+    # apart near 1000 and 5e-5 apart near 1e5: every eigenvalue is simple
+    gp = write_graph(tmp_path, NEAR_TWINS)
+    perm = write_json(tmp_path, "perm.json", {"map": {"a": "a", "b": "b"}})
+    argv = ["trails", gp, "--from-permutation", perm, "--spectrum"]
+    argv += ["--window", str(lo), str(lo + 10)]
+    rc, payload, err = run_json(capsys, argv)
+    assert rc == EXIT_OK and err == ""
+    ks = range(math.ceil(lo / (2 * math.pi)), math.floor((lo + 10) / (2 * math.pi)) + 1)
+    values = sorted(2 * math.pi * k / l for k in ks for l in (1.0, 1 + 5e-10))
+    assert [e["re"] for e in payload["eigenvalues"]] == pytest.approx(values, rel=1e-12)
+    assert [e["mult"] for e in payload["eigenvalues"]] == [1] * want
+    assert all(e["residual"] <= 1e-10 for e in payload["eigenvalues"])
 
 
 def test_trails_spectrum_empty_window_is_bad_input(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_stacked_rank_tests_match_pointwise_svd(seed):
     lams = np.concatenate(
         [zeros, np.add(zeros, 1e-4), rng.uniform(-3, 9, 70) + 1j * rng.normal(size=70)]
     )
-    got = _multiplicities(a, lengths, lams)
+    got = _multiplicities(a.matrix, lengths, lams)
     want = [pointwise_multiplicity(a, lengths, z) for z in lams]
     assert [m for m, _, _ in got] == [m for m, _ in want]
     assert np.allclose([r for _, _, r in got], [r for _, r in want], rtol=1e-6, atol=1e-15)
@@ -43,12 +43,12 @@ def test_stacked_rank_tests_match_pointwise_svd(seed):
         residual = (np.diag(np.exp(1j * lam * np.asarray(lengths))) - a.matrix) @ kernel
         assert np.linalg.norm(residual) <= 1e-6
     multiple = [2 * math.pi * k for k in range(-1, 2)] + [1.0, 2.0]
-    got = _multiplicities(ident, [1.0] * n, multiple)
+    got = _multiplicities(ident.matrix, [1.0] * n, multiple)
     assert [m for m, _, _ in got] == [n, n, n, 0, 0]
 
 
 @pytest.mark.parametrize("lo", [-0.5, -0.3, 0.1])
-def test_scan_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
+def test_eigenphase_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
     # The 6-fold zero at 2 pi: Newton limits from its noise plateau leave
     # the axis, so the count cell around it has to carry the zero.
     a = GEndomorphism(rose(6), np.eye(6))

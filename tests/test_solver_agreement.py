@@ -29,6 +29,7 @@ from diracgraph import (
     spectrum_numeric,
     subdivide_edge,
 )
+from diracgraph import spectrum
 from diracgraph.spectrum import DEDUPE_RADIUS
 from diracgraph.randgen import (
     random_eulerian_graph,
@@ -209,8 +210,8 @@ def block_diagonal_map(seed):
 @CASES
 @given(st.integers(0, 2**32 - 1))
 def test_eigenphase_agrees_with_bisection_on_block_diagonal_maps(seed):
-    # the locator works block by block and certifies on the whole map;
-    # the oracle bisects the whole map's eigenphase count
+    # the locator locates and certifies block by block; the oracle bisects
+    # the whole map's eigenphase count
     a, (lo, hi) = block_diagonal_map(seed)
     located = spectrum_numeric(a, window=(lo, hi))
     cells = real_eigenvalues_by_bisection(
@@ -220,6 +221,29 @@ def test_eigenphase_agrees_with_bisection_on_block_diagonal_maps(seed):
     assert np.allclose(located.values(), [x for x, _ in cells], rtol=0, atol=1e-9)
     assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
     assert located.warnings == ()
+
+
+def test_eigenphase_certifies_a_repeated_block_without_polishing(monkeypatch):
+    # each copy of the repeated block certifies its eigenvalues as simple on
+    # its own, and the cross-block merge makes them double: no Newton polish,
+    # and each double entry joins one eigenfunction from each copy
+    polished = []
+    polish = spectrum._polish
+    monkeypatch.setattr(spectrum, "_polish", lambda *args: polished.append(args) or polish(*args))
+    doubles = 0
+    for seed in range(40):
+        a, (lo, hi) = block_diagonal_map(seed)
+        located = spectrum_numeric(a, window=(lo, hi))
+        cells = real_eigenvalues_by_bisection(
+            a, a.graph.lengths(), lo - DEDUPE_RADIUS, hi + DEDUPE_RADIUS
+        )
+        assert [e.multiplicity for e in located.eigenvalues] == [c for _, c in cells]
+        assert located.warnings == ()
+        for e in located.eigenvalues:
+            supports = [np.abs(f.amplitudes) > 0 for f in e.eigenfunctions]
+            assert not np.any(np.sum(supports, axis=0) > 1)
+        doubles += sum(e.multiplicity == 2 for e in located.eigenvalues)
+    assert polished == [] and doubles == 37
 
 
 def random_rect(rng):

@@ -11,7 +11,6 @@ from diracgraph import (
     Window,
     directed_cycle,
     eigenfunction_residual,
-    general_eigencondition,
     graph_from_edges,
     graph_of,
     multiplicity,
@@ -29,6 +28,7 @@ from diracgraph.randgen import (
     random_unitary_g_endomorphism,
 )
 from diracgraph.spectrum import _subdivided_map, as_window
+from oracles import general_eigencondition
 
 
 def shift_map(g, weights):
@@ -330,7 +330,7 @@ def test_contour_solver_has_no_edge_cap(monkeypatch):
 # -- real-axis solver -----------------------------------------------------
 
 
-def test_scan_cycle_phases_closed_form():
+def test_eigenphase_cycle_phases_closed_form():
     rng = np.random.default_rng(101)
     for n in (1, 2, 3, 5):
         g = directed_cycle(n)
@@ -352,7 +352,7 @@ def test_scan_cycle_phases_closed_form():
         assert all(e.multiplicity == 1 for e in rep.eigenvalues)
 
 
-def test_scan_agrees_with_exact_on_random_unitary_maps():
+def test_eigenphase_agrees_with_exact_on_random_unitary_maps():
     rng = np.random.default_rng(103)
     for _ in range(15):
         g = random_eulerian_graph(rng, max_edges=5)
@@ -365,7 +365,7 @@ def test_scan_agrees_with_exact_on_random_unitary_maps():
             assert s.multiplicity == e.multiplicity
 
 
-def test_scan_degenerate_eigenvalues():
+def test_eigenphase_degenerate_eigenvalues():
     # Two identical loops: every eigenvalue doubles.
     g, a = scaled_identity_rose(2, 1.0)
     rep = spectrum_numeric(a, window=(-0.5, 7.0))
@@ -373,7 +373,7 @@ def test_scan_degenerate_eigenvalues():
     assert [e.multiplicity for e in rep.eigenvalues] == [2, 2]
 
 
-def test_scan_high_multiplicity_lattice():
+def test_eigenphase_high_multiplicity_lattice():
     for n in (3, 5, 8):
         g, a = scaled_identity_rose(n, 1.0)
         rep = spectrum_numeric(a, window=(-0.5, 7.0))
@@ -381,7 +381,7 @@ def test_scan_high_multiplicity_lattice():
         assert np.allclose(rep.values(), [0.0, 2 * math.pi], atol=1e-9)
 
 
-def test_scan_eigenfunctions_solve_the_edge_equation():
+def test_eigenphase_eigenfunctions_solve_the_edge_equation():
     rng = np.random.default_rng(107)
     g = random_eulerian_graph(rng, max_edges=4)
     a = random_unitary_g_endomorphism(g, rng)
@@ -406,7 +406,7 @@ def twin_loops():
     return GEndomorphism(g, np.eye(2)), want
 
 
-def test_scan_keeps_both_eigenvalues_of_a_close_pair():
+def test_eigenphase_keeps_both_eigenvalues_of_a_close_pair():
     a, want = twin_loops()
     rep = spectrum_numeric(a, window=(0.5, 20.0))
     assert rep.values() == pytest.approx(want, abs=1e-9)
@@ -486,6 +486,41 @@ def test_eigenphase_count_reads_the_window_ends():
     rep = spectrum_numeric(GEndomorphism(g, np.eye(1)), window=(0.0, 2 * math.pi))
     assert rep.values() == pytest.approx([0.0, 2 * math.pi], abs=1e-12)
     assert rep.winding == 2 and rep.warnings == ()
+
+
+def test_eigenphase_merges_close_eigenvalues_of_different_blocks():
+    # the pairs 2 pi k and 2 pi k / (1 + 5e-10) lie 3.1e-9 k apart, within
+    # DEDUPE_RADIUS for k <= 31: each loop certifies its own eigenvalue, and
+    # the merge adds the two multiplicities instead of dropping one
+    g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", 1 + 5e-10)])
+    rep = spectrum_numeric(GEndomorphism(g, np.eye(2)), window=(0.0, 700.0))
+    assert [e.multiplicity for e in rep.eigenvalues] == [2] * 32 + [1] * 160
+    assert sum(e.multiplicity for e in rep.eigenvalues) == rep.winding == 224
+    assert rep.warnings == ()
+
+
+def test_eigenphase_certifies_a_nearly_triangular_map_as_one_block():
+    # A is unitary to 1e-9 and block triangular: its support splits the
+    # loops, but the entry 1e-9 couples them, so the locator splits by the
+    # symmetrized support and certifies both loops on one T(lambda)
+    g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", math.sqrt(2))])
+    a = GEndomorphism(g, np.array([[1.0, 1e-9], [0.0, 1.0]]))
+    rep = spectrum_numeric(a, window=(0.5, 20.0))
+    assert rep.winding == 7 and rep.warnings == ()
+    b = graph_of(a)
+    worst = max(eigenfunction_residual(b, f) for e in rep.eigenvalues for f in e.eigenfunctions)
+    assert worst < 1e-12
+
+
+def test_eigenphase_keeps_far_eigenvalues_within_the_rounding_of_lambda():
+    # near 9e5 one float step of lambda moves exp(i lambda l_e) by about
+    # the residual tolerance; the residual test allows for that rounding
+    rng = np.random.default_rng(1)
+    g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", math.sqrt(2))])
+    a = GEndomorphism(g, random_unitary_g_endomorphism(rose(2), rng).matrix)
+    rep = spectrum_numeric(a, window=(9e5, 9e5 + 200))
+    assert sum(e.multiplicity for e in rep.eigenvalues) == rep.winding == 77
+    assert rep.warnings == ()
 
 
 # -- contour solver -------------------------------------------------------
