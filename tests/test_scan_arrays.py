@@ -48,7 +48,7 @@ def test_stacked_rank_tests_match_pointwise_svd(seed):
 
 
 @pytest.mark.parametrize("lo", [-0.5, -0.3, 0.1])
-def test_eigenphase_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
+def test_scan_keeps_six_fold_eigenvalue_whose_newton_limits_leave_the_axis(lo):
     # The 6-fold zero at 2 pi: Newton limits from its noise plateau leave
     # the axis, so the count cell around it has to carry the zero.
     a = GEndomorphism(rose(6), np.eye(6))
