@@ -176,19 +176,10 @@ def is_eulerian_components(g: MetricGraph) -> bool:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """Edge subset of a parent graph together with the induced vertex set."""
+    """Edge subset of a parent graph; its vertices are those of :meth:`induced_graph`."""
 
     parent: MetricGraph
     edge_ids: frozenset[str]
-
-    @property
-    def vertex_ids(self) -> frozenset[str]:
-        out = set()
-        for eid in self.edge_ids:
-            e = self.parent.edge(eid)
-            out.add(e.tail)
-            out.add(e.head)
-        return frozenset(out)
 
     def induced_graph(self) -> MetricGraph:
         """Standalone graph on this edge subset, preserving parent order."""

@@ -22,17 +22,19 @@ one only proposes candidate zeros:
   by one contour integral (Beyn's method).
 
 Every route works on ``n x n`` or ``d x d`` matrices; none expands ``P_A``.
-All three end in one shared step, which takes the edge map's matrix and
-never reads the graph.  Nearby candidates are grouped (the group size is a
-multiplicity hint), every group is certified by the kernel dimension of
-``T(lambda)`` via SVD (one stacked call for the strict test of all
-candidates), escalating through Newton polishes on ``det T`` for multiple
-zeros, and the certified values go through the same rules: a window with
-slack ``DEDUPE_RADIUS`` (plus any contour padding), a residual (smallest
-singular value of ``T``) above the tolerance plus the rounding of
-``lambda`` drops the entry with a warning, rank rejections and hints above
-the kernel dimension (defective zeros) are warned, and values within
-``DEDUPE_RADIUS`` of each other are reported once.  On the real axis a
+All three end in one shared step, :func:`_certified_entries`, which takes
+the edge map's matrix and never reads the graph, and is the only place
+where a candidate is rank-tested, polished or dropped.  Nearby candidates
+are grouped (the group size is a multiplicity hint), and every one is
+certified by the kernel dimension of ``T(lambda)`` via SVD, in one stacked
+call; a multiple one is polished once by Newton on ``det T`` at that
+dimension, and one without kernel is polished at rising orders until one
+certifies, or warned and dropped.  The certified values go through the
+same rules: a window with slack ``DEDUPE_RADIUS`` (plus any contour
+padding), a residual (smallest singular value of ``T``) above the
+tolerance plus the rounding of ``lambda`` drops the entry with a warning,
+hints above the kernel dimension (defective zeros) are warned, and values
+within ``DEDUPE_RADIUS`` of each other are reported once.  On the real axis a
 unitary map is block diagonal, with exact zeros between its blocks, so
 ``T(lambda)`` is too and its kernel is the direct sum of the block kernels:
 each block's candidates are certified on its own ``T_b``, and entries of
@@ -91,11 +93,13 @@ PERIOD_RTOL = 4 * 2.0**-52
 
 # Contour panels: QUAD_ORDER Gauss-Legendre nodes, at most MAX_HALVINGS
 # halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.  A
-# rectangle whose first round needs more than MAX_PANELS panels is refused.
+# rectangle whose first round needs more than MAX_PANELS panels, or whose
+# nodes hold more than MAX_QUAD_ENTRIES entries of T^-1, is refused.
 QUAD_ORDER = 16
 MAX_HALVINGS = 6
 PANEL_FLOOR = 1e-9
 MAX_PANELS = 4096
+MAX_QUAD_ENTRIES = 2**23
 
 
 @dataclass(frozen=True)
@@ -219,19 +223,6 @@ def _multiplicities(matrix, lengths, lams):
     return out
 
 
-def _make_entry(lengths, lam, m, kernel, residual) -> EigenvalueEntry | None:
-    if m == 0:
-        return None
-    # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
-    grow = np.exp(1j * lam * lengths)
-    funcs = tuple(Eigenfunction(complex(lam), grow * kernel[:, k]) for k in range(m))
-    return EigenvalueEntry(complex(lam), m, residual, funcs)
-
-
-def _entry(matrix, lengths, lam) -> EigenvalueEntry | None:
-    return _make_entry(lengths, lam, *_multiplicities(matrix, lengths, [lam])[0])
-
-
 def _guarded_newton(value, deriv, z0):
     """Newton iteration that never lets the target magnitude increase.
 
@@ -324,39 +315,6 @@ def _group(points, radius: float) -> list[tuple[complex, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups.values()]
 
 
-def _certify(matrix, lengths, lam, hint: int, real_axis: bool, entry):
-    """Escalate a candidate the strict rank test rejected or found multiple.
-
-    ``entry`` is the strict test's outcome at ``lam`` (``None`` when it
-    found no kernel).  A rejected candidate is polished by Newton on ``det
-    T`` as an assumed zero of increasing order, starting at ``max(2,
-    hint)``, until some multiplicity certifies.  A certified multiple zero
-    is then polished once more at its kernel dimension, pinning the value
-    to machine accuracy.  ``real_axis`` restricts to real candidates
-    (unitary maps have real spectrum; a polish drifting off the axis is
-    discarded).
-    """
-
-    def polish(z: complex, m: int) -> complex | None:
-        z = _polish(matrix, lengths, z, m)
-        if real_axis:
-            z = complex(z.real) if abs(z.imag) <= 1e-6 else None
-        return z
-
-    if entry is None:
-        for m in range(max(2, hint), lengths.size + 1):
-            z = polish(complex(lam), m)
-            if z is not None and (entry := _entry(matrix, lengths, z)) is not None:
-                break
-    if entry is not None and entry.multiplicity > 1:
-        z = polish(entry.value, entry.multiplicity)
-        if z is not None:
-            better = _entry(matrix, lengths, z)
-            if better is not None and better.multiplicity == entry.multiplicity:
-                entry = better
-    return entry
-
-
 def _certified_entries(
     matrix,
     lengths,
@@ -368,47 +326,67 @@ def _certified_entries(
     pad: float = 0.0,
     real_axis: bool = False,
 ) -> tuple[EigenvalueEntry, ...]:
-    """The step every solver ends in: certify, filter, collapse.
+    """The step every solver ends in, and the only place where a candidate
+    is rank-tested, polished or dropped.
 
     ``candidates`` holds ``(point, hint)`` pairs.  Candidates and certified
     values both have to lie in the window widened by ``pad +
     DEDUPE_RADIUS``.  Every candidate gets the strict rank test in one
-    stacked call; only those it rejects or finds multiple go through
-    :func:`_certify`.  A rank rejection is warned and the candidate dropped,
-    and so is a residual above ``residual_tol`` plus the rounding of the
-    value itself, ``PERIOD_RTOL |lambda| max_e l_e``: far out, one float
-    step of ``lambda`` moves ``exp(i lambda l_e)`` by about the tolerance.
-    A hint above the certified kernel dimension is warned as a defective
-    zero.  Certified values within ``DEDUPE_RADIUS`` of a kept one are
-    collapsed into it in a single sorted pass: scattered roots of one zero
-    can all certify to the same eigenvalue.
+    stacked call.  A polish is guarded Newton on ``det T`` at an assumed
+    order (Guettel & Tisseur, Acta Numerica 26 (2017), section 4), with
+    ``real_axis`` projected onto the real axis or discarded off it.  A
+    candidate without kernel is polished at the orders ``max(2, hint) ..
+    n`` until one certifies, else warned and dropped: the eigenphase locator
+    gives a multiple eigenvalue as the middle of a cell ``CELL_FLOOR (1 +
+    |x|)`` wide, too coarse far out for the rank test.  One of kernel
+    dimension ``m > 1`` is polished once at ``m`` and replaced if the polish
+    certifies ``m`` too.  A residual above ``residual_tol`` plus the
+    rounding ``PERIOD_RTOL |lambda| max_e l_e`` of the value itself drops
+    the entry with a warning, and a hint above the kernel dimension is
+    warned as a defective zero.  Certified values within ``DEDUPE_RADIUS``
+    of a kept one are collapsed into it in a single sorted pass: scattered
+    roots of one zero can all certify to the same eigenvalue.
     """
+
+    def polish(z: complex, order: int) -> complex | None:
+        z = _polish(matrix, lengths, z, order)
+        if real_axis:
+            z = complex(z.real) if abs(z.imag) <= 1e-6 else None
+        return z
+
     slack = pad + DEDUPE_RADIUS
     tried = [(complex(lam), hint) for lam, hint in candidates if window.contains(lam, slack)]
     points = np.array([lam for lam, _ in tried], dtype=complex)
     strict = _multiplicities(matrix, lengths, points)
     rounding = PERIOD_RTOL * float(np.max(lengths))
     entries = []
-    for (lam, hint), found in zip(tried, strict):
-        entry = _make_entry(lengths, lam, *found)
-        if entry is None or entry.multiplicity > 1:
-            entry = _certify(matrix, lengths, lam, hint, real_axis, entry)
-        if entry is None:
-            warnings.append(f"candidate {lam:.6g} rejected by rank check")
+    for (lam, hint), (m, kernel, residual) in zip(tried, strict):
+        if m == 0:
+            for order in range(max(2, hint), lengths.size + 1):
+                z = polish(lam, order)
+                if z is not None and (found := _multiplicities(matrix, lengths, [z])[0])[0]:
+                    lam, (m, kernel, residual) = z, found
+                    break
+            else:
+                warnings.append(f"candidate {lam:.6g} rejected by rank check")
+                continue
+        if m > 1:
+            z = polish(lam, m)
+            if z is not None and (found := _multiplicities(matrix, lengths, [z])[0])[0] == m:
+                lam, (m, kernel, residual) = z, found
+        if not window.contains(lam, slack):
             continue
-        if not window.contains(entry.value, slack):
+        if residual > residual_tol + rounding * abs(lam):
+            warnings.append(f"candidate {lam:.6g} dropped: residual {residual:.2e}")
             continue
-        if entry.residual > residual_tol + rounding * abs(entry.value):
+        if hint > m:
             warnings.append(
-                f"candidate {entry.value:.6g} dropped: residual {entry.residual:.2e}"
+                f"defective zero at {lam:.6g}: multiplicity hint {hint}, kernel dimension {m}"
             )
-            continue
-        if hint > entry.multiplicity:
-            warnings.append(
-                f"defective zero at {entry.value:.6g}: multiplicity hint {hint}, "
-                f"kernel dimension {entry.multiplicity}"
-            )
-        entries.append(entry)
+        # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
+        grow = np.exp(1j * lam * lengths)
+        funcs = tuple(Eigenfunction(lam, grow * kernel[:, k]) for k in range(m))
+        entries.append(EigenvalueEntry(lam, m, residual, funcs))
     unique: list[EigenvalueEntry] = []
     for entry in _sorted_entries(entries):
         if not unique or abs(entry.value - unique[-1].value) > DEDUPE_RADIUS:
@@ -501,15 +479,15 @@ def spectrum_exact_commensurable(
     ``det(zI - B)`` for the ``d x d`` subdivided map ``B``, ``d = sum m_e``,
     so its nonzero eigenvalues are the roots, found by one eigensolve; zero
     eigenvalues, and roots too small for the rank test to tell from zero,
-    are discarded.  Each root
-    ``z`` with argument ``phi`` in ``[0, 2 pi)`` and modulus ``exp(alpha)``
-    yields the eigenvalue family ``(phi + 2 pi k - i alpha) / delta`` over
-    all integers ``k``; the report lists the members inside the window.  A
-    degree ``d`` above ``MAX_EXACT_DEGREE`` is refused before the eigensolve.
-    The members are counted before any is built, and a window holding more
-    than ``MAX_FAMILY_MEMBERS`` is refused.  For a unitary map on a real window
-    the report's ``winding`` is the eigenphase count of the window widened
-    by ``DEDUPE_RADIUS``, a check on the listed multiplicities.
+    are discarded.  Each root ``z`` with argument ``phi`` in ``[0, 2 pi)``
+    and modulus ``exp(alpha)`` yields the eigenvalue family ``(phi + 2 pi k
+    - i alpha) / delta`` over all integers ``k``; the report lists the
+    members inside the window.  A degree ``d`` above ``MAX_EXACT_DEGREE``,
+    and a window listing more than ``MAX_FAMILY_MEMBERS`` eigenvalues,
+    ``width L / 2 pi`` as on every real window (:func:`_check_width`), are
+    refused before the eigensolve.  For a unitary map on a real window the
+    report's ``winding`` is the eigenphase count of the window widened by
+    ``DEDUPE_RADIUS``, a check on the listed multiplicities.
     """
     window = as_window(window)
     if delta <= 0:
@@ -526,6 +504,8 @@ def spectrum_exact_commensurable(
             "use the contour solver on a rectangle instead"
         )
     lengths = np.array(mult, dtype=float) * delta
+    period = 2 * math.pi / delta
+    _check_width(window, float(lengths.sum()), period)
 
     roots = np.linalg.eigvals(_subdivided_map(a.matrix, mult))
     groups = _group(roots, min(1e-5, math.pi / (4 * sum(mult))))
@@ -542,27 +522,13 @@ def spectrum_exact_commensurable(
             "secular polynomial is a single monomial; the map is singular and "
             "the spectrum in any window is empty"
         )
-    period = 2 * math.pi / delta
-    families = []
+    candidates = []
     for z0, size in groups:
         phi = math.atan2(z0.imag, z0.real) % (2 * math.pi)
         base = (phi - 1j * math.log(abs(z0))) / delta
-        k_lo = np.ceil((window.re_min - base.real) / period - 1e-12)
-        k_hi = np.floor((window.re_max - base.real) / period + 1e-12)
-        families.append((base, size, k_lo, k_hi))
-    # an index past the largest float makes the count infinite or NaN: refused
-    with np.errstate(invalid="ignore"):
-        members = np.sum([np.maximum(0.0, k_hi - k_lo + 1) for *_, k_lo, k_hi in families])
-    if not members <= MAX_FAMILY_MEMBERS:
-        raise WindowTooLargeError(
-            f"window holds more than {MAX_FAMILY_MEMBERS} members of the "
-            "eigenvalue families; split it into smaller pieces"
-        )
-    candidates = [
-        (base + k * period, size)
-        for base, size, k_lo, k_hi in families
-        for k in range(int(k_lo), int(k_hi) + 1)
-    ]
+        k_lo = math.ceil((window.re_min - base.real) / period - 1e-12)
+        k_hi = math.floor((window.re_max - base.real) / period + 1e-12)
+        candidates += [(base + k * period, size) for k in range(k_lo, k_hi + 1)]
     entries = _certified_entries(a.matrix, lengths, window, candidates, residual_tol, warnings)
     winding = None
     if window.is_real_interval and is_unitary(a):
@@ -700,21 +666,30 @@ def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]
     return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
 
 
-def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float]:
-    """Checked bounds of a real window, widened by ``DEDUPE_RADIUS``.  The
-    eigenvalues located, ``min(width, period) L / 2 pi`` for a spectrum of
-    that period, are bounded by ``MAX_EXPECTED_ROOTS``, and those listed,
-    ``width L / 2 pi``, by ``MAX_FAMILY_MEMBERS``."""
-    if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
-        raise ValueError("real-axis solver needs a window containing the real line")
-    width, total = window.re_max - window.re_min, float(np.sum(lengths))
+def _check_width(window: Window, total: float, period: float = math.inf) -> None:
+    """Refuse a real window before anything is solved: for the total length
+    ``L`` (a Python float, so that no NumPy overflow warns) it lists ``width
+    L / 2 pi`` eigenvalues, at most ``MAX_FAMILY_MEMBERS``, and locates
+    ``min(width, period) L / 2 pi``, at most ``MAX_EXPECTED_ROOTS``.  Where
+    ``lambda L`` overflows, ``T(lambda)`` has no value."""
+    width = window.re_max - window.re_min
     expected = width * total / (2 * math.pi)
     located = min(width, period) * total / (2 * math.pi)
-    if located > MAX_EXPECTED_ROOTS or expected > MAX_FAMILY_MEMBERS:
+    if not (located <= MAX_EXPECTED_ROOTS and expected <= MAX_FAMILY_MEMBERS):
         raise WindowTooLargeError(
             f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
             "split it into smaller pieces"
         )
+    if max(-window.re_min, window.re_max) * total == math.inf:
+        raise WindowTooLargeError("window reaches where lambda times the total length overflows")
+
+
+def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float]:
+    """Bounds of a real window, checked by :func:`_check_width` and widened
+    by ``DEDUPE_RADIUS``."""
+    if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
+        raise ValueError("real-axis solver needs a window containing the real line")
+    _check_width(window, float(np.sum(lengths)), period)
     return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
 
 
@@ -844,14 +819,22 @@ def _quadrature(matrix, lengths, ends: np.ndarray, floor: float):
 
     A zero lies about ``1 / |T^-1 T'|_F`` or more from a node; a panel where
     that is under a quarter of its length is bisected.  A panel below
-    ``floor`` or a singular ``T`` means a zero on the contour.
+    ``floor`` or a singular ``T`` means a zero on the contour.  The nodes
+    kept and to evaluate hold at most ``MAX_QUAD_ENTRIES`` entries of
+    ``T^-1``: where ``T`` is near a singular ``-A`` along a side, far up,
+    the bisection would otherwise end only with the memory.
     """
     x, wq = np.polynomial.legendre.leggauss(QUAD_ORDER)
     n = lengths.size
-    parts = []
+    parts, kept = [], 0
     # overflow far from the real axis is caught below as non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         while len(ends):
+            if (kept + len(ends)) * QUAD_ORDER * n * n > MAX_QUAD_ENTRIES:
+                raise WindowTooLargeError(
+                    f"contour nodes would hold more than {MAX_QUAD_ENTRIES:.2e} "
+                    "matrix entries; shrink the rectangle"
+                )
             mid, half = ends.mean(axis=1), (ends[:, 1] - ends[:, 0]) / 2
             z = mid[:, None] + half[:, None] * x
             t, phases = _t_matrices(matrix, lengths, z)
@@ -867,6 +850,7 @@ def _quadrature(matrix, lengths, ends: np.ndarray, floor: float):
             if np.any(np.abs(half[near]) < floor):
                 raise ContourError("zero on or near the contour")
             parts.append((z[~near], half[~near, None] * wq, tinv[~near], dlog[~near]))
+            kept += np.count_nonzero(~near)
             ends, mid = ends[near], mid[near]
             ends = np.concatenate([np.c_[ends[:, 0], mid], np.c_[mid, ends[:, 1]]])
     z, w, tinv, dlog = (np.concatenate(p) for p in zip(*parts))

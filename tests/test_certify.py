@@ -11,7 +11,7 @@ from diracgraph import (
     spectrum_numeric,
 )
 from diracgraph.randgen import random_eulerian_graph, random_unitary_g_endomorphism
-from diracgraph.spectrum import _group
+from diracgraph.spectrum import RESIDUAL_TOL, Window, _certified_entries, _group
 
 
 def single_linkage(points, radius):
@@ -88,3 +88,27 @@ def test_every_solver_drops_entries_above_the_residual_tolerance():
         assert strict.eigenvalues == ()
         dropped = [w for w in strict.warnings if "dropped: residual" in w]
         assert len(dropped) == 5
+
+
+def test_a_candidate_without_kernel_is_warned_and_dropped():
+    # one loop mapped to itself: the eigenvalues are 2 pi k, and one edge
+    # leaves no higher order to polish a rejected candidate at
+    warnings = []
+    entries = _certified_entries(
+        np.eye(1), np.ones(1), Window.real(-1.0, 7.0), [(2 * math.pi, 1), (1.0, 1)],
+        RESIDUAL_TOL, warnings,
+    )
+    assert [(e.value, e.multiplicity) for e in entries] == [(pytest.approx(2 * math.pi), 1)]
+    assert warnings == ["candidate 1+0j rejected by rank check"]
+
+
+def test_a_rejected_candidate_is_polished_at_its_hint():
+    # two loops of length 1 mapped to themselves: a double eigenvalue at 0,
+    # and 1e-6 away the rank test of a double zero finds no kernel
+    warnings = []
+    entries = _certified_entries(
+        np.eye(2), np.ones(2), Window.real(-1.0, 1.0), [(1e-6, 2)], RESIDUAL_TOL, warnings,
+        real_axis=True,
+    )
+    assert [(e.value, e.multiplicity) for e in entries] == [(pytest.approx(0.0, abs=1e-12), 2)]
+    assert warnings == []

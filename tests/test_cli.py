@@ -2,13 +2,20 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import diracgraph
 from diracgraph import (
+    BoundarySubspace,
     GEndomorphism,
+    TraceSpace,
     bidirected_triangle,
     graph_from_edges,
     graph_of,
@@ -214,6 +221,35 @@ def test_spectrum_dimension_mismatch_means_whole_plane(tmp_path, capsys):
     assert "whole complex plane" in err
 
 
+def test_spectrum_of_a_full_dimension_subspace_is_that_of_its_edge_map(tmp_path, capsys):
+    a = random_unitary_g_endomorphism(TWO_LOOPS, np.random.default_rng(3))
+    gp = write_graph(tmp_path, TWO_LOOPS)
+    argv = ["spectrum", gp, "--window", "-1", "12", "--bc"]
+    found = []
+    for name, doc in (
+        ("endo.json", endomorphism_to_json(a)),
+        ("subspace.json", subspace_to_json(graph_of(a))),
+    ):
+        rc, payload, err = run_json(capsys, argv + [write_json(tmp_path, name, doc)])
+        assert rc == EXIT_OK and err == ""
+        found.append([(e["re"], e["mult"]) for e in payload["eigenvalues"]])
+    assert len(found[0]) >= 5
+    assert [m for _, m in found[1]] == [m for _, m in found[0]]
+    assert [x for x, _ in found[1]] == pytest.approx([x for x, _ in found[0]], abs=1e-9)
+
+
+def test_spectrum_refuses_a_full_dimension_subspace_that_is_no_graph(tmp_path, capsys):
+    # the start values are free and the end values vanish: |E| dimensions,
+    # but no edge map sends end values to start values
+    gp = write_graph(tmp_path, TWO_LOOPS)
+    space = TraceSpace(TWO_LOOPS)
+    starts = BoundarySubspace(space, space.embed_start(np.eye(2)).T)
+    bc = write_json(tmp_path, "bc.json", subspace_to_json(starts))
+    rc, out, err = run(capsys, ["spectrum", gp, "--bc", bc, "--window", "0", "1"])
+    assert rc == EXIT_REFUSAL and out == ""
+    assert "only pointwise multiplicity queries" in err
+
+
 def test_spectrum_csv_format(tmp_path, capsys):
     gp = write_graph(tmp_path, rose(1))
     bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
@@ -368,6 +404,33 @@ def test_spectrum_refuses_exact_windows_it_cannot_list(tmp_path, capsys):
     rc, out, err = run(capsys, ["spectrum", gp, "--bc", bc, "--window", "1e300", "1e301"])
     assert time.perf_counter() - start < 1.0
     assert rc == EXIT_REFUSAL and out == "" and "split it into smaller pieces" in err
+
+
+def test_spectrum_refuses_a_contour_that_would_exhaust_memory(tmp_path):
+    # det T = exp(20 i lambda) has no zeros, but high up T is close to the
+    # nilpotent -A: panels there are bisected without reaching the floor
+    g = graph_from_edges([("a", "u", "u", 10.0), ("b", "u", "u", 10.0)])
+    gp = write_graph(tmp_path, g)
+    nilpotent = GEndomorphism(g, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    bc = write_json(tmp_path, "bc.json", endomorphism_to_json(nilpotent))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracgraph.__file__)))
+    argv = ["spectrum", gp, "--bc", bc, "--rect", "0", "4", "-1", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from diracgraph.cli import main; raise SystemExit(main({argv}))"],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "MemoryError" not in proc.stderr
+    assert proc.returncode == EXIT_REFUSAL and proc.stdout == "" and "refused" in proc.stderr
+    assert time.perf_counter() - start < 5.0
 
 
 def test_spectrum_locates_unitary_maps_above_the_edge_cap(tmp_path, capsys):

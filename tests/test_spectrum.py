@@ -215,11 +215,25 @@ def test_exact_refuses_windows_with_too_many_family_members():
         spectrum_exact_commensurable(a, [1], 100.0, (-1e308, 1e308))
     with pytest.raises(WindowTooLargeError):
         spectrum_exact_commensurable(a, [1], 100.0, (1e308, 1.5e308))
+    # no width, but lambda L overflows and so would the family index
+    with pytest.raises(WindowTooLargeError, match="overflows"):
+        spectrum_exact_commensurable(a, [1], 100.0, (1e308, 1e308))
     width = 2 * math.pi * spectrum.MAX_FAMILY_MEMBERS
     with pytest.raises(WindowTooLargeError):
         spectrum_exact_commensurable(a, [1], 1.0, (0.5, 0.5 + width * 1.001))
     rep = spectrum_exact_commensurable(a, [1], 1.0, (0.5, 0.5 + width * 1e-3))
     assert len(rep.eigenvalues) == spectrum.MAX_FAMILY_MEMBERS // 1000
+
+
+def test_exact_refuses_a_wide_window_before_the_eigensolve():
+    # d = 1000, the largest degree, but the window lists about 1.6e6
+    # eigenvalues: refused without the 1000 x 1000 eigensolve
+    g = rose(4)
+    a = random_g_endomorphism(g, np.random.default_rng(0))
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLargeError, match="smaller pieces"):
+        spectrum_exact_commensurable(a, [250] * 4, 0.001, (0.0, 1e7))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_input_validation():
@@ -432,6 +446,25 @@ def test_eigenphase_rose_identity_multiplicities():
     assert rep.winding == 18 and rep.warnings == ()
 
 
+@pytest.mark.parametrize(
+    "window, want",
+    [
+        ((-0.3, 5.5), [(0.0, 2), (math.pi, 1), (1.5 * math.pi, 1)]),
+        ((1000.0, 1006.0), [(1002.168056495144, 1), (1003.738852821939, 1), (320 * math.pi, 2)]),
+    ],
+)
+def test_eigenphase_certifies_a_multiple_eigenvalue_inside_one_block(window, want):
+    # The unitary DFT map couples all four loops, and S(lambda) has the
+    # eigenvalue 1 twice at every multiple of 2 pi.  Far out, the cell that
+    # holds the double eigenvalue is too wide for the rank test of its
+    # middle, and the candidate is only certified after a polish.
+    g = rose(4)
+    rep = spectrum_numeric(GEndomorphism(g, np.fft.fft(np.eye(4)) / 2), np.ones(4), window)
+    assert [e.value for e in rep.eigenvalues] == pytest.approx([v for v, _ in want], abs=1e-9)
+    assert [e.multiplicity for e in rep.eigenvalues] == [m for _, m in want]
+    assert rep.winding == 4 and rep.warnings == ()
+
+
 def test_eigenphase_refusals():
     g, a = scaled_identity_rose(1, 2.0)
     with pytest.raises(DiracGraphError, match="unitary"):
@@ -439,6 +472,9 @@ def test_eigenphase_refusals():
     g, a = scaled_identity_rose(1, 1.0)
     with pytest.raises(ValueError):
         spectrum_numeric(a, window=Window.rect(-1, 1, 0.5, 1.0))
+    # lambda L overflows: S(lambda) has no value there
+    with pytest.raises(WindowTooLargeError, match="overflows"):
+        spectrum_numeric(a, [100.0], window=(-1e308, -1e308))
     # incommensurable lengths: about 1.15e5 eigenvalues to locate, past 1e5
     g = graph_from_edges([("a", "u", "u", 1.0), ("b", "u", "u", math.sqrt(2))])
     start = time.perf_counter()
