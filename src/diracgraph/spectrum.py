@@ -94,12 +94,12 @@ PERIOD_RTOL = 4 * 2.0**-52
 # Contour panels: QUAD_ORDER Gauss-Legendre nodes, at most MAX_HALVINGS
 # halvings; one below PANEL_FLOOR times the half-diagonal hits a zero.  A
 # rectangle whose first round needs more than MAX_PANELS panels, or whose
-# nodes hold more than MAX_QUAD_ENTRIES entries of T^-1, is refused.
+# panels bisection grows MAX_PANEL_GROWTH-fold in a round, is refused.
 QUAD_ORDER = 16
 MAX_HALVINGS = 6
 PANEL_FLOOR = 1e-9
 MAX_PANELS = 4096
-MAX_QUAD_ENTRIES = 2**23
+MAX_PANEL_GROWTH = 64
 
 
 @dataclass(frozen=True)
@@ -338,9 +338,9 @@ def _certified_entries(
     candidate without kernel is polished at the orders ``max(2, hint) ..
     n`` until one certifies, else warned and dropped: the eigenphase locator
     gives a multiple eigenvalue as the middle of a cell ``CELL_FLOOR (1 +
-    |x|)`` wide, too coarse far out for the rank test.  One of kernel
-    dimension ``m > 1`` is polished once at ``m`` and replaced if the polish
-    certifies ``m`` too.  A residual above ``residual_tol`` plus the
+    |x|)`` wide, too coarse far out for the rank test.  Otherwise one of
+    kernel dimension ``m > 1`` is polished at ``m`` and replaced if the
+    polish certifies ``m`` too.  A residual above ``residual_tol`` plus the
     rounding ``PERIOD_RTOL |lambda| max_e l_e`` of the value itself drops
     the entry with a warning, and a hint above the kernel dimension is
     warned as a defective zero.  Certified values within ``DEDUPE_RADIUS``
@@ -370,7 +370,7 @@ def _certified_entries(
             else:
                 warnings.append(f"candidate {lam:.6g} rejected by rank check")
                 continue
-        if m > 1:
+        elif m > 1:
             z = polish(lam, m)
             if z is not None and (found := _multiplicities(matrix, lengths, [z])[0])[0] == m:
                 lam, (m, kernel, residual) = z, found
@@ -485,7 +485,8 @@ def spectrum_exact_commensurable(
     members inside the window.  A degree ``d`` above ``MAX_EXACT_DEGREE``,
     and a window listing more than ``MAX_FAMILY_MEMBERS`` eigenvalues,
     ``width L / 2 pi`` as on every real window (:func:`_check_width`), are
-    refused before the eigensolve.  For a unitary map on a real window the
+    refused before the eigensolve; that count takes in every root of ``B``,
+    zero and repeated ones too.  For a unitary map on a real window the
     report's ``winding`` is the eigenphase count of the window widened by
     ``DEDUPE_RADIUS``, a check on the listed multiplicities.
     """
@@ -819,21 +820,21 @@ def _quadrature(matrix, lengths, ends: np.ndarray, floor: float):
 
     A zero lies about ``1 / |T^-1 T'|_F`` or more from a node; a panel where
     that is under a quarter of its length is bisected.  A panel below
-    ``floor`` or a singular ``T`` means a zero on the contour.  The nodes
-    kept and to evaluate hold at most ``MAX_QUAD_ENTRIES`` entries of
-    ``T^-1``: where ``T`` is near a singular ``-A`` along a side, far up,
-    the bisection would otherwise end only with the memory.
+    ``floor`` or a singular ``T`` means a zero on the contour.  The panels
+    kept and to evaluate number at most ``MAX_PANEL_GROWTH`` times the
+    panels given: where ``T`` is near a singular ``-A`` along a side, far
+    up, the bisection would otherwise end only with the memory.
     """
     x, wq = np.polynomial.legendre.leggauss(QUAD_ORDER)
     n = lengths.size
-    parts, kept = [], 0
+    parts, kept, limit = [], 0, MAX_PANEL_GROWTH * len(ends)
     # overflow far from the real axis is caught below as non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         while len(ends):
-            if (kept + len(ends)) * QUAD_ORDER * n * n > MAX_QUAD_ENTRIES:
+            if kept + len(ends) > limit:
                 raise WindowTooLargeError(
-                    f"contour nodes would hold more than {MAX_QUAD_ENTRIES:.2e} "
-                    "matrix entries; shrink the rectangle"
+                    f"contour panels grew {MAX_PANEL_GROWTH}-fold by bisection, "
+                    "where T(lambda) is near singular; shrink the rectangle"
                 )
             mid, half = ends.mean(axis=1), (ends[:, 1] - ends[:, 0]) / 2
             z = mid[:, None] + half[:, None] * x

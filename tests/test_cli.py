@@ -16,10 +16,12 @@ from diracgraph import (
     BoundarySubspace,
     GEndomorphism,
     TraceSpace,
+    WindowTooLargeError,
     bidirected_triangle,
     graph_from_edges,
     graph_of,
     rose,
+    spectrum_complex,
     spectrum_exact_commensurable,
 )
 from diracgraph.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_REFUSAL, main
@@ -419,7 +421,6 @@ def test_spectrum_refuses_a_contour_that_would_exhaust_memory(tmp_path):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracgraph.__file__)))
     argv = ["spectrum", gp, "--bc", bc, "--rect", "0", "4", "-1", "1"]
-    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", f"from diracgraph.cli import main; raise SystemExit(main({argv}))"],
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
@@ -430,6 +431,9 @@ def test_spectrum_refuses_a_contour_that_would_exhaust_memory(tmp_path):
     )
     assert "MemoryError" not in proc.stderr
     assert proc.returncode == EXIT_REFUSAL and proc.stdout == "" and "refused" in proc.stderr
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLargeError, match="shrink the rectangle"):
+        spectrum_complex(nilpotent, rect=(0.0, 4.0, -1.0, 1.0))
     assert time.perf_counter() - start < 5.0
 
 
