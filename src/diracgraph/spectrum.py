@@ -24,26 +24,26 @@ one only proposes candidate zeros:
 Every route works on ``n x n`` or ``d x d`` matrices; none expands ``P_A``.
 All three end in one shared step, :func:`_certified_entries`, which takes
 the edge map's matrix and never reads the graph, and is the only place
-where a candidate is rank-tested, polished or dropped.  Nearby candidates
-are grouped (the group size is a multiplicity hint), and every one is
-certified by the kernel dimension of ``T(lambda)`` via SVD, in one stacked
-call; a multiple one is polished once by Newton on ``det T`` at that
-dimension, and one without kernel is polished at rising orders until one
-certifies, or warned and dropped.  The certified values go through the
-same rules: a window with slack ``DEDUPE_RADIUS`` (plus any contour
-padding), a residual (smallest singular value of ``T``) above the
-tolerance plus the rounding of ``lambda`` drops the entry with a warning,
-hints above the kernel dimension (defective zeros) are warned, and values
-within ``DEDUPE_RADIUS`` of each other are reported once.  On the real axis a
-unitary map is block diagonal, with exact zeros between its blocks, so
-``T(lambda)`` is too and its kernel is the direct sum of the block kernels:
-each block's candidates are certified on its own ``T_b``, and entries of
-different blocks within ``DEDUPE_RADIUS`` are merged into one, their
-multiplicities added and their eigenfunctions joined
-(:func:`_certified_blocks`).  The locator's blocks and the trails of an
-edge permutation (``trails.permutation_spectrum``) both end there.
-Multiplicities never come from root clustering, and the kernel vectors
-double as eigenfunction amplitudes.
+where a candidate is rank-tested, polished or dropped.  The exact and
+contour routes group their root estimates by one rule first (the group size
+is a multiplicity hint, :func:`_tree_groups`).  Every candidate is certified
+by the kernel dimension of ``T(lambda)`` via SVD, in one stacked call; a
+multiple one is polished once by Newton on ``det T`` at that dimension, and
+one without kernel is polished at rising orders until one certifies, or
+warned and dropped.  The certified values go through the same rules: a
+window with slack ``DEDUPE_RADIUS`` (plus any contour padding), a residual
+(smallest singular value of ``T``) above the tolerance plus the rounding of
+``lambda`` drops the entry with a warning, hints above the kernel dimension
+(defective zeros) are warned, and values within ``DEDUPE_RADIUS`` of each
+other are reported once.  On the real axis a unitary map is block diagonal,
+with exact zeros between its blocks, so ``T(lambda)`` is too and its kernel
+is the direct sum of the block kernels: each block's candidates are
+certified on its own ``T_b``, and entries of different blocks within
+``DEDUPE_RADIUS`` are merged into one, their multiplicities added and their
+eigenfunctions joined (:func:`_certified_blocks`).  The locator's blocks and
+the trails of an edge permutation (``trails.permutation_spectrum``) both
+end there.  Multiplicities never come from root clustering, and the kernel
+vectors double as eigenfunction amplitudes.
 """
 
 from __future__ import annotations
@@ -282,37 +282,77 @@ def _polish(matrix, lengths, z0: complex, mult: int = 1) -> complex:
     return _guarded_newton(lambda z: np.linalg.det(_t_matrices(matrix, lengths, z)[0]), deriv, z0)
 
 
-def _group(points, radius: float) -> list[tuple[complex, int]]:
-    """Single-linkage groups of points as ``(centroid, size)`` pairs.
-
-    Two points share a group when a chain of steps of at most ``radius``
-    links them.  Sorted by real part, each point is compared only with the
-    earlier points within ``radius`` in real part.  Eigensolver output
-    scatters an ``m``-fold root symmetrically, so the centroid restores
-    nearly full accuracy where the single roots only carry ``m``-th root of
-    machine precision; the size is the multiplicity hint.  Groups come out
-    in the order of their leftmost points.
-    """
-    pts = sorted((complex(z) for z in points), key=lambda z: (z.real, z.imag))
-    parent = list(range(len(pts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    lo = 0
-    for i, z in enumerate(pts):
-        while z.real - pts[lo].real > radius:
-            lo += 1
-        for j in range(lo, i):
-            if abs(z - pts[j]) <= radius:
-                parent[find(j)] = find(i)
+def _tree_groups(points, link) -> list[tuple[complex, list[complex]]]:
+    """Groups of points as ``(centroid, members)`` pairs: the components of
+    the edges of their minimum spanning tree that ``link(p, q)``, given the
+    ends of every edge, joins.  Only tree edges are tested: the midpoint of
+    two zeros can be a third, as on lattices.  An ``m``-fold root scatters
+    symmetrically, so the centroid restores nearly full accuracy where the
+    single roots only carry ``m``-th root of machine precision; the size is
+    the multiplicity hint.  Groups come out by their leftmost points."""
+    pts = np.array(sorted(map(complex, points), key=lambda z: (z.real, z.imag)), dtype=complex)
+    dist = np.abs(np.subtract.outer(pts, pts))
+    outside = np.ones(len(pts), dtype=bool)
+    best, parent = np.full(len(pts), np.inf), np.zeros(len(pts), dtype=int)
+    order, j = [], 0
+    for _ in range(len(pts) - 1):
+        outside[j] = False
+        closer = outside & (dist[j] < best)
+        best[closer], parent[closer] = dist[j, closer], j
+        j = int(np.argmin(np.where(outside, best, np.inf)))
+        order.append(j)
+    # a point joins the tree after its parent, so labels pass down in order
+    order, label = np.array(order, dtype=int), np.arange(len(pts))
+    for j in order[link(pts[order], pts[parent[order]])]:
+        label[j] = label[parent[j]]
     groups: dict[int, list[complex]] = {}
-    for i, z in enumerate(pts):
-        groups.setdefault(find(i), []).append(z)
-    return [(sum(g) / len(g), len(g)) for g in groups.values()]
+    for z, g in zip(pts, label):
+        groups.setdefault(g, []).append(complex(z))
+    return [(sum(g) / len(g), g) for g in groups.values()]
+
+
+def _moduli(points, lengths, delta: float | None = None) -> np.ndarray:
+    """``|exp(i lambda l_e)|`` at every point ``lambda`` for every edge, or
+    with ``delta`` at ``lambda = -i log(z) / delta`` for roots ``z`` of ``B``."""
+    points = np.asarray(points, dtype=complex)[..., None]
+    with np.errstate(over="ignore"):
+        if delta is None:
+            return np.exp(-points.imag * lengths)
+        return np.abs(points) ** (lengths / delta)
+
+
+def _kernel_link(matrix, lengths, delta: float | None = None):
+    """Link test of :func:`_tree_groups` for zero estimates: they coincide,
+    or the rank test finds a kernel of ``T`` at three points between them;
+    a defective ``m``-fold zero scatters them by about ``eps**(1/m)``,
+    beyond any fixed radius.  With ``delta`` they are roots ``z`` of ``B``,
+    tested at ``-i log(z) / delta`` on any branch, ``T`` being ``2 pi /
+    delta``-periodic.  Where the :func:`_moduli` of edges whose columns of
+    ``A`` are dependent are at most ``RANK_RTOL |A|`` (the longest edges get
+    there first), ``T`` has a kernel whatever ``lambda`` is.  So the points
+    are the quarter points, on a grid of 64ths, of the part of the segment
+    outside that region, else a root would be joined through it to the zero
+    roots of ``B``; a segment wholly inside it joins."""
+    floor = RANK_RTOL * np.linalg.norm(matrix)
+    order = np.argsort(-lengths, kind="stable")
+    pivots = np.abs(np.diag(np.linalg.qr(matrix[:, order], mode="r")))
+    # the shortest of the fewest longest edges with dependent columns
+    shortest = lengths[order[pivots <= floor]][:1]
+
+    def link(p, q):
+        grid = p + np.multiply.outer(np.arange(1, 64) / 64, q - p)
+        free, cols = np.all(_moduli(grid, shortest, delta) > floor, axis=-1), np.arange(p.size)
+        rows = np.argsort(~free, axis=0, kind="stable")
+        picks = grid[rows[np.multiply.outer([0.25, 0.5, 0.75], free.sum(axis=0)).astype(int), cols], cols]
+        # z = 0 lies in the region unless A, and so T(0) = -A, is regular
+        test = free.any(axis=0) & (p != q) & ((picks != 0).all(axis=0) | (delta is None))
+        lams = picks[:, test] if delta is None else -1j * np.log(picks[:, test]) / delta
+        kernels = np.reshape([m > 0 for m, _, _ in _multiplicities(matrix, lengths, lams)], (3, -1))
+        joined = (p == q) | ~free.any(axis=0)
+        joined[test] = kernels.all(axis=0)
+        return joined
+
+    return link
 
 
 def _certified_entries(
@@ -477,18 +517,22 @@ def spectrum_exact_commensurable(
 
     Substituting ``z = exp(i lambda delta)`` turns ``det T(lambda)`` into
     ``det(zI - B)`` for the ``d x d`` subdivided map ``B``, ``d = sum m_e``,
-    so its nonzero eigenvalues are the roots, found by one eigensolve; zero
-    eigenvalues, and roots too small for the rank test to tell from zero,
-    are discarded.  Each root ``z`` with argument ``phi`` in ``[0, 2 pi)``
-    and modulus ``exp(alpha)`` yields the eigenvalue family ``(phi + 2 pi k
-    - i alpha) / delta`` over all integers ``k``; the report lists the
-    members inside the window.  A degree ``d`` above ``MAX_EXACT_DEGREE``,
-    and a window listing more than ``MAX_FAMILY_MEMBERS`` eigenvalues,
-    ``width L / 2 pi`` as on every real window (:func:`_check_width`), are
-    refused before the eigensolve; that count takes in every root of ``B``,
-    zero and repeated ones too.  For a unitary map on a real window the
-    report's ``winding`` is the eigenphase count of the window widened by
-    ``DEDUPE_RADIUS``, a check on the listed multiplicities.
+    so its nonzero eigenvalues are the roots, found by one eigensolve.
+    Roots too small for the rank test to tell from zero are discarded, the
+    others grouped where they coincide or the rank test links them
+    (:func:`_kernel_link`).  A centroid that small is the scatter of a zero
+    eigenvalue, and discarded, if the product of the group's roots is small
+    too; else the group's roots are taken one by one.  Each
+    centroid ``z`` with argument ``phi`` in ``[0, 2 pi)`` and modulus
+    ``exp(alpha)`` yields the eigenvalue family ``(phi + 2 pi k - i alpha) /
+    delta`` over all integers ``k``; the report lists the members inside the
+    window.  A degree ``d`` above ``MAX_EXACT_DEGREE``, and a window listing
+    more than ``MAX_FAMILY_MEMBERS`` eigenvalues, ``width L / 2 pi`` as on
+    every real window (:func:`_check_width`), are refused before the
+    eigensolve; that count takes in every root of ``B``, zero and repeated
+    ones too.  For a unitary map on a real window the report's ``winding``
+    is the eigenphase count of the window widened by ``DEDUPE_RADIUS``, a
+    check on the listed multiplicities.
     """
     window = as_window(window)
     if delta <= 0:
@@ -508,15 +552,19 @@ def spectrum_exact_commensurable(
     period = 2 * math.pi / delta
     _check_width(window, float(lengths.sum()), period)
 
+    # Where every exp(i lambda l_e) lies under the rank tolerance, T is -A
+    # to within it: the zero roots of B lie there, or centre there linked.
+    floor = RANK_RTOL * np.linalg.norm(a.matrix)
     roots = np.linalg.eigvals(_subdivided_map(a.matrix, mult))
-    groups = _group(roots, min(1e-5, math.pi / (4 * sum(mult))))
-    # Where every exp(i lambda l_e) lies under the rank tolerance, T equals
-    # -A to within it and the rank test certifies any point of a singular
-    # A: the zero eigenvalues of B (A singular) scatter into that disc.
-    centres = np.abs([z for z, _ in groups])
-    with np.errstate(over="ignore"):
-        reach = np.max(centres[:, None] ** np.array(mult), axis=1)
-    groups = [g for g, r in zip(groups, reach) if r > RANK_RTOL * np.linalg.norm(a.matrix)]
+    roots = roots[np.any(_moduli(roots, lengths, delta) > floor, axis=-1)]
+    groups = []
+    for z0, members in _tree_groups(roots, _kernel_link(a.matrix, lengths, delta)):
+        if np.any(_moduli(z0, lengths, delta) > floor):
+            groups.append((z0, len(members)))
+        # the product of the roots is the constant term of the group's
+        # factor of det(zI - B): the scatter of a zero root leaves it tiny
+        elif abs(np.prod(members)) > floor:
+            groups += [(z, 1) for z in members]
     warnings: list[str] = []
     if not groups:
         warnings.append(
@@ -668,11 +716,12 @@ def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]
 
 
 def _check_width(window: Window, total: float, period: float = math.inf) -> None:
-    """Refuse a real window before anything is solved: for the total length
-    ``L`` (a Python float, so that no NumPy overflow warns) it lists ``width
-    L / 2 pi`` eigenvalues, at most ``MAX_FAMILY_MEMBERS``, and locates
-    ``min(width, period) L / 2 pi``, at most ``MAX_EXPECTED_ROOTS``.  Where
-    ``lambda L`` overflows, ``T(lambda)`` has no value."""
+    """Refuse a window, real or a rectangle's real extent, before anything is
+    solved: for the total length ``L`` (a Python float, so that no NumPy
+    overflow warns) it lists ``width L / 2 pi`` eigenvalues, at most
+    ``MAX_FAMILY_MEMBERS``, and locates ``min(width, period) L / 2 pi``, at
+    most ``MAX_EXPECTED_ROOTS``.  Where ``|lambda| L eps >= 2 pi``, one float
+    step of ``lambda`` turns ``exp(i lambda L)`` a full turn."""
     width = window.re_max - window.re_min
     expected = width * total / (2 * math.pi)
     located = min(width, period) * total / (2 * math.pi)
@@ -681,8 +730,8 @@ def _check_width(window: Window, total: float, period: float = math.inf) -> None
             f"window of width {width:.3g} holds about {expected:.2e} eigenvalues; "
             "split it into smaller pieces"
         )
-    if max(-window.re_min, window.re_max) * total == math.inf:
-        raise WindowTooLargeError("window reaches where lambda times the total length overflows")
+    if max(-window.re_min, window.re_max) * total * math.ulp(1.0) >= 2 * math.pi:
+        raise WindowTooLargeError("window reaches where lambda L overflows float precision")
 
 
 def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float]:
@@ -922,35 +971,6 @@ def _contour_zeros(matrix, lengths, re0, re1, im0, im1, step=None):
     return winding, centre + rho * np.linalg.eigvals(left.conj().T @ h1 @ right / sv)
 
 
-def _rank_groups(matrix, lengths, points) -> list[tuple[complex, int]]:
-    """Zero estimates grouped by the rank test, as ``(centroid, size)`` pairs.
-
-    A defective ``m``-fold zero scatters its estimates by about
-    ``eps**(1/m)``, beyond any fixed radius, so a minimum spanning tree edge
-    joins two estimates when the rank test finds a kernel at its midpoint.
-    Only tree edges: the midpoint of two zeros can be a third, as on lattices.
-    """
-    points = np.asarray(points, dtype=complex)
-    dist = np.abs(np.subtract.outer(points, points))
-    outside = np.ones(len(points), dtype=bool)
-    best, link = np.full(len(points), np.inf), np.zeros(len(points), dtype=int)
-    order, j = [], 0
-    for _ in range(len(points) - 1):
-        outside[j] = False
-        closer = outside & (dist[j] < best)
-        best[closer], link[closer] = dist[j, closer], j
-        j = int(np.argmin(np.where(outside, best, np.inf)))
-        order.append(j)
-    # a point joins the tree after its link, so labels pass down in order
-    label = np.arange(len(points))
-    mids = (points[order] + points[link[order]]) / 2
-    for j, (m, _, _) in zip(order, _multiplicities(matrix, lengths, mids)):
-        if m:
-            label[j] = label[link[j]]
-    groups = [label == g for g in np.unique(label)]
-    return [(complex(points[g].mean()), int(g.sum())) for g in groups]
-
-
 def spectrum_complex(
     a: GEndomorphism,
     lengths=None,
@@ -966,9 +986,9 @@ def spectrum_complex(
     by Newton on ``det T``.  If a zero sits on the contour the rectangle is widened
     slightly and retried, up to five times.  The report's ``winding`` field
     carries the count as a check on the listed multiplicities.  A rectangle
-    expected to hold more than ``MAX_EXPECTED_ROOTS`` zeros on the real
-    axis (``width L / 2 pi``), or whose first round needs more than
-    ``MAX_PANELS`` panels, is refused before anything is integrated.
+    that :func:`_check_width` refuses as a real window, or whose first round
+    needs more than ``MAX_PANELS`` panels, is refused before anything is
+    integrated.
     """
     if rect is None:
         raise ValueError("contour solver needs a rectangle")
@@ -979,12 +999,11 @@ def spectrum_complex(
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
     warnings: list[str] = []
     re0, re1, im0, im1 = bounds
-    expected = (re1 - re0) * float(lengths.sum()) / (2 * math.pi)
+    _check_width(window, float(lengths.sum()))
     panels = 2 * ((re1 - re0) + (im1 - im0)) / _panel_step(lengths)
-    if not (expected <= MAX_EXPECTED_ROOTS and panels <= MAX_PANELS):
+    if not panels <= MAX_PANELS:
         raise WindowTooLargeError(
-            f"rectangle needs about {panels:.2e} contour panels and holds about "
-            f"{expected:.2e} eigenvalues; split it into smaller pieces"
+            f"rectangle needs about {panels:.2e} contour panels; split it into smaller pieces"
         )
     size = max(re1 - re0, im1 - im0)
     pad = 0.0
@@ -1001,8 +1020,8 @@ def spectrum_complex(
         warnings.append(f"contour perturbed outward by {pad:.2e} to avoid a zero")
 
     # A group's centroid restores the accuracy its scattered estimates lack.
-    groups = _rank_groups(a.matrix, lengths, estimates)
-    candidates = [(z if m > 1 else _polish(a.matrix, lengths, z), m) for z, m in groups]
+    groups = _tree_groups(estimates, _kernel_link(a.matrix, lengths))
+    candidates = [(z if len(g) > 1 else _polish(a.matrix, lengths, z), len(g)) for z, g in groups]
     entries = _certified_entries(
         a.matrix, lengths, window, candidates, residual_tol, warnings, pad=pad
     )

@@ -4,11 +4,13 @@ Each helper computes its answer the slow, direct way and shares no code
 with the routine it checks: term-by-term polynomial evaluation, the secular
 function summed straight from cycle collections, edge connectivity by
 trying every removal subset, real eigenvalues by bisecting on the
-eigenphase count of plain ``eigvals``, and eigenvalue multiplicities from
-the boundary subspace instead of the edge map.
+eigenphase count of plain ``eigvals``, eigenvalue multiplicities from
+the boundary subspace instead of the edge map, and the distinct roots of an
+integer polynomial by exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -161,3 +163,40 @@ def general_eigencondition(b, lengths, lam: complex) -> int:
     sol = space.embed_start(np.eye(n, dtype=complex)).T
     sol += space.embed_end(np.diag(decay)).T
     return intersection_dim(sol, b.matrix, RANK_RTOL)
+
+
+def _divide(a, b):
+    """Quotient and remainder of polynomials of ``Fraction`` coefficients,
+    highest degree first; the remainder has its leading zeros stripped."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        quotient.append(c)
+        a = [x - c * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and a[0] == 0:
+        a = a[1:]
+    return quotient, a
+
+
+def _remainder(a, b):
+    """Pseudo-remainder of integer polynomials (highest degree first), the
+    remainder of ``b[0]**k a`` by ``b``, divided by its content: a step of
+    the primitive remainder sequence, whose integers stay small."""
+    while len(a) >= len(b):
+        a = [b[0] * x - a[0] * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+        while a and a[0] == 0:
+            a = a[1:]
+    content = math.gcd(*a) if a else 1
+    return [c // content for c in a]
+
+
+def distinct_roots(coeffs) -> np.ndarray:
+    """Roots of an integer polynomial (highest degree first), each once:
+    ``np.roots`` of ``p / gcd(p, p')``, whose roots are all simple, with the
+    gcd taken in exact integer arithmetic.  ``np.roots`` of ``p`` itself
+    scatters an ``m``-fold root by about ``eps**(1/m)``."""
+    p = [int(c) for c in coeffs]
+    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while r:
+        g, r = r, _remainder(g, r)
+    return np.roots([float(c) for c in _divide([Fraction(c) for c in p], g)[0]])

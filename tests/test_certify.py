@@ -11,7 +11,12 @@ from diracgraph import (
     spectrum_numeric,
 )
 from diracgraph.randgen import random_eulerian_graph, random_unitary_g_endomorphism
-from diracgraph.spectrum import RESIDUAL_TOL, Window, _certified_entries, _group
+from diracgraph.spectrum import RESIDUAL_TOL, Window, _certified_entries, _tree_groups
+
+
+def _group(points, radius):
+    """Tree groups linked by distance alone: single linkage within ``radius``."""
+    return [(z, len(g)) for z, g in _tree_groups(points, lambda p, q: np.abs(p - q) <= radius)]
 
 
 def single_linkage(points, radius):

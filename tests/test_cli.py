@@ -397,6 +397,30 @@ def test_spectrum_refuses_oversized_rectangles_at_once(tmp_path, capsys, re1):
     assert rc == EXIT_REFUSAL and out == "" and "split it into smaller pieces" in err
 
 
+def test_spectrum_lists_both_roots_of_a_close_pair(tmp_path, capsys):
+    gp = write_graph(tmp_path, rose(2))
+    pair = GEndomorphism(rose(2), np.diag([2.0, 2.000003]))
+    bc = write_json(tmp_path, "bc.json", endomorphism_to_json(pair))
+    rc, payload, err = run_json(capsys, ["spectrum", gp, "--bc", bc, "--window", "-1", "1"])
+    assert rc == EXIT_OK and err == "" and payload["warnings"] == []
+    assert [e["mult"] for e in payload["eigenvalues"]] == [1, 1]
+    want = [-math.log(2.000003), -math.log(2.0)]
+    assert sorted(e["im"] for e in payload["eigenvalues"]) == pytest.approx(want, abs=1e-12)
+
+
+def test_spectrum_keeps_the_roots_beside_a_zero_column(tmp_path, capsys):
+    # loops of lengths 30 and 31 with A = diag(2, 0): the exact route lists
+    # the 30 roots of z^30 = 2 once per period, none joined to the zeros
+    g = graph_from_edges([("a", "u", "u", 30.0), ("b", "u", "u", 31.0)])
+    gp = write_graph(tmp_path, g)
+    bc = write_json(tmp_path, "bc.json", endomorphism_to_json(GEndomorphism(g, np.diag([2.0, 0.0]))))
+    argv = ["spectrum", gp, "--bc", bc, "--window", "-0.1", str(2 * math.pi - 0.1)]
+    rc, payload, err = run_json(capsys, argv)
+    assert rc == EXIT_OK and err == "" and payload["warnings"] == []
+    assert [e["mult"] for e in payload["eigenvalues"]] == [1] * 30
+    assert [e["im"] for e in payload["eigenvalues"]] == pytest.approx([-math.log(2) / 30] * 30)
+
+
 def test_spectrum_refuses_exact_windows_it_cannot_list(tmp_path, capsys):
     # one period of 2 pi is located, but the window would list about
     # 1.4e300 of its translates

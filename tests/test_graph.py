@@ -226,7 +226,7 @@ edge_lists = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(edge_lists)
 def test_collection_components_satisfy_degree_criterion(pairs):
     specs = [(f"e{i}", f"v{t}", f"v{h}") for i, (t, h) in enumerate(pairs)]

@@ -12,6 +12,7 @@ length scaling, edge subdivision and vertex reduction.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,8 @@ from diracgraph import (
     spectrum_numeric,
     subdivide_edge,
 )
-from diracgraph import spectrum
+from diracgraph import build_adjacency, spectrum
+from diracgraph.charpoly import char_poly, specialize_univariate
 from diracgraph.spectrum import DEDUPE_RADIUS
 from diracgraph.randgen import (
     random_eulerian_graph,
@@ -37,7 +39,7 @@ from diracgraph.randgen import (
     random_graph,
     random_unitary_g_endomorphism,
 )
-from oracles import real_eigenvalues_by_bisection
+from oracles import distinct_roots, real_eigenvalues_by_bisection
 
 CASES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -108,6 +110,53 @@ def test_exact_and_eigenphase_agree_on_unitary_maps(seed):
     located = spectrum_numeric(a, np.multiply(mult, delta), window)
     assert_same_entries(located, exact)
     assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+
+
+def singular_integer_maps(seed, top):
+    """Integer maps with multipliers 1 to ``top``: the 0/1 adjacency of an
+    Eulerian graph, and an all-ones map, a nilpotent shift and a diagonal
+    map with entries 0-2 on roses."""
+    rng = np.random.default_rng(seed)
+    n, k = (int(x) for x in rng.integers(1, 7, size=2))
+    maps = [
+        build_adjacency(random_eulerian_graph(rng, max_edges=7)),
+        GEndomorphism(rose(n), np.ones((n, n))),
+        GEndomorphism(rose(k), np.eye(k, k=1)),
+        GEndomorphism(rose(k), np.diag(rng.integers(0, 3, size=k)).astype(float)),
+    ]
+    return [(a, [int(m) for m in rng.integers(1, top + 1, size=a.graph.n_edges)]) for a in maps]
+
+
+def family_members(roots, lo, hi):
+    """Members ``arg z + 2 pi k - i log|z|`` with real part in ``[lo, hi]``."""
+    out = []
+    for z in roots:
+        base = complex(np.angle(z), -np.log(np.abs(z)))
+        first = np.ceil((lo - base.real) / (2 * np.pi))
+        last = np.floor((hi - base.real) / (2 * np.pi))
+        out += [base + 2 * np.pi * k for k in np.arange(first, last + 1)]
+    return np.array(out, dtype=complex)
+
+
+@pytest.mark.parametrize("top", [4, 40])
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_exact_lists_the_families_of_the_nonzero_roots(top, seed):
+    # the polynomial of an integer map has exact integer coefficients, so
+    # its zero roots are its trailing zero coefficients; the scattered zero
+    # roots of B give no eigenvalue.  Values only: a defective root's
+    # multiplicity is geometric.  Long edges make T nearly -A far from the
+    # zero roots, where every root of B near the unit circle must stay apart.
+    tol = 1e-5
+    for a, mult in singular_integer_maps(seed, top):
+        coeffs = specialize_univariate(char_poly(a), mult)[::-1]
+        assert np.array_equal(coeffs, np.round(coeffs.real))
+        roots = distinct_roots(np.trim_zeros(coeffs.real, "b"))
+        got = np.array(spectrum_exact_commensurable(a, mult, 1.0, (-10.0, 10.0)).values())
+        for value in got:
+            assert np.min(np.abs(family_members(roots, -10.0 - tol, 10.0 + tol) - value)) <= tol
+        for value in family_members(roots, -10.0 + tol, 10.0 - tol):
+            assert got.size and np.min(np.abs(got - value)) <= tol
 
 
 def incommensurable_map(seed):

@@ -312,6 +312,96 @@ def test_exact_drops_zero_eigenvalues_of_a_singular_map():
     assert rep.warnings == ()
 
 
+def haar_q(n):
+    """The Q factor of complex normals from ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exact_drops_the_scattered_zero_roots_of_a_jordan_map(n):
+    # A = Q J_n(0) Q*: B = A has one n-fold zero eigenvalue, which scatters
+    # to |z| ~ eps**(1/n), beyond any fixed radius, where T(lambda) is
+    # nearly the singular -A; the rank test links the scattered roots into
+    # one group, whose centroid is 0
+    q = haar_q(n)
+    a = GEndomorphism(rose(n), q @ np.eye(n, k=1) @ q.conj().T)
+    rep = spectrum_exact_commensurable(a, [1] * n, 1.0, (-4.0, 4.0))
+    assert rep.eigenvalues == ()
+    assert len(rep.warnings) == 1 and "map is singular" in rep.warnings[0]
+
+
+def test_exact_lists_no_family_of_the_zero_roots_of_an_all_ones_map():
+    # det(zI - B) = z^8 (z^4 - 1.4 (2 z^3 + z^2 + 2)); the eight zero
+    # roots scatter, and far up T(lambda) is nearly the singular -A
+    a = GEndomorphism(rose(5), 1.4 * np.ones((5, 5)))
+    rep = spectrum_exact_commensurable(a, [1, 4, 2, 1, 4], 1.0, (-33.0, -21.0))
+    assert len(rep.eigenvalues) == 8 and rep.warnings == ()
+    assert all(abs(v.imag) < 5 for v in rep.values())
+
+
+@pytest.mark.parametrize("gap", [3e-6, 1e-6])
+def test_exact_lists_both_roots_of_a_close_pair(gap):
+    # the two simple roots 2 and 2 + gap of B: the rank test finds no
+    # kernel between them, so they are not one double candidate
+    a = GEndomorphism(rose(2), np.diag([2.0, 2.0 + gap]))
+    rep = spectrum_exact_commensurable(a, [1, 1], 1.0, Window.rect(-1, 1, -2, 0))
+    assert [e.multiplicity for e in rep.eigenvalues] == [1, 1] and rep.warnings == ()
+    want = [-math.log(2.0 + gap), -math.log(2.0)]
+    assert sorted(v.imag for v in rep.values()) == pytest.approx(want, abs=1e-12)
+    assert [v.real for v in rep.values()] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("mult", [(30, 31), (31, 30), (100, 101)])
+def test_exact_keeps_the_roots_beside_a_zero_column(mult):
+    # A = diag(2, 0): B has the roots of z^m1 = 2 on a circle of radius
+    # about 1 and exact zeros.  Between them, where |z|^m2 is below the rank
+    # tolerance, T is -A to within it and has a kernel: no root may be
+    # joined to the zeros through there
+    m1 = mult[0]
+    a = GEndomorphism(rose(2), np.diag([2.0, 0.0]))
+    rep = spectrum_exact_commensurable(a, list(mult), 1.0, (-math.pi / m1, 2 * math.pi - math.pi / m1))
+    assert [e.multiplicity for e in rep.eigenvalues] == [1] * m1 and rep.warnings == ()
+    want = 2 * math.pi * np.arange(m1) / m1 - 1j * math.log(2) / m1
+    assert np.allclose(sorted(rep.values(), key=lambda v: v.real), want, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "block, mult",
+    [([[0.0]], (1, 30)), ([[0.0]], (2, 60)), ([[0.0]], (5, 200)), ([[1, -1], [1, -1]], (2, 30, 30))],
+)
+def test_exact_keeps_the_roots_of_a_short_edge_beside_a_singular_block(block, mult):
+    # A = 1/2 (+) a singular block on the long edges: the roots of
+    # z^m1 = 1/2 lie where |exp(i lambda l_e)| on those edges is below the
+    # rank tolerance, so T has a kernel there, and the block gives B only
+    # zero roots.  Linked to each other across z = 0, the roots centre
+    # there but are no zero root.  Values only: the block's kernel adds to
+    # the multiplicity
+    m1 = mult[0]
+    matrix = np.zeros((len(mult), len(mult)))
+    matrix[0, 0], matrix[1:, 1:] = 0.5, block
+    a = GEndomorphism(rose(len(mult)), matrix)
+    rep = spectrum_exact_commensurable(a, list(mult), 1.0, (-math.pi / m1, 2 * math.pi - math.pi / m1))
+    want = (2 * math.pi * np.arange(m1) + 1j * math.log(2)) / m1
+    assert np.allclose(sorted(rep.values(), key=lambda v: v.real), want, atol=1e-9)
+
+
+def test_windows_past_the_precision_of_lambda_are_refused():
+    # from |lambda| L eps >= 2 pi on, one float step of lambda turns
+    # exp(i lambda L) a full turn
+    g, a = scaled_identity_rose(1, 2.0)
+    with pytest.raises(WindowTooLargeError, match="overflows"):
+        spectrum_exact_commensurable(a, [1], 100.0, (1e300, 1e300))
+    with pytest.raises(WindowTooLargeError, match="overflows"):
+        spectrum_complex(a, rect=(1e17, 1e17 + 1, -1, 0))
+    limit = 2 * math.pi / math.ulp(1.0)
+    below = -limit * (1 - 1e-9)
+    spectrum._check_width(Window.real(below, below), 1.0)
+    with pytest.raises(WindowTooLargeError, match="overflows"):
+        spectrum._check_width(Window.real(-limit, -limit), 1.0)
+
+
 def forbid_expansion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the polynomial was expanded")
