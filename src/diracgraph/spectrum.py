@@ -327,29 +327,42 @@ def _kernel_link(matrix, lengths, delta: float | None = None):
     a defective ``m``-fold zero scatters them by about ``eps**(1/m)``,
     beyond any fixed radius.  With ``delta`` they are roots ``z`` of ``B``,
     tested at ``-i log(z) / delta`` on any branch, ``T`` being ``2 pi /
-    delta``-periodic.  Where the :func:`_moduli` of edges whose columns of
-    ``A`` are dependent are at most ``RANK_RTOL |A|`` (the longest edges get
-    there first), ``T`` has a kernel whatever ``lambda`` is.  So the points
-    are the quarter points, on a grid of 64ths, of the part of the segment
-    outside that region, else a root would be joined through it to the zero
-    roots of ``B``; a segment wholly inside it joins."""
+    delta``-periodic, and ``T(z = 0) = -A``.
+
+    Where the :func:`_moduli` of edges whose columns of ``A`` are dependent
+    are at most ``RANK_RTOL |A|`` (the longest edges get there first), ``T``
+    has a kernel whatever ``lambda`` is.  So the points are the quarter
+    points, on a grid of 64ths, of the part of the segment outside that
+    region, else a root would be joined through it to the zero roots of
+    ``B``.  A segment wholly inside it joins where the kernel at its quarter
+    points is no smaller than at its ends: between two distinct roots it
+    falls back to the region's own, across the scatter of one zero not.
+    """
     floor = RANK_RTOL * np.linalg.norm(matrix)
     order = np.argsort(-lengths, kind="stable")
     pivots = np.abs(np.diag(np.linalg.qr(matrix[:, order], mode="r")))
     # the shortest of the fewest longest edges with dependent columns
     shortest = lengths[order[pivots <= floor]][:1]
+    nullity = lengths.size - np.count_nonzero(np.linalg.svd(matrix, compute_uv=False) > floor)
+
+    def kernels(points):
+        out = np.full(points.shape, nullity)
+        live = (points != 0) | (delta is None)
+        lams = points[live] if delta is None else -1j * np.log(points[live]) / delta
+        out[live] = [m for m, _, _ in _multiplicities(matrix, lengths, lams)]
+        return out
 
     def link(p, q):
         grid = p + np.multiply.outer(np.arange(1, 64) / 64, q - p)
-        free, cols = np.all(_moduli(grid, shortest, delta) > floor, axis=-1), np.arange(p.size)
+        free = np.all(_moduli(grid, shortest, delta) > floor, axis=-1)
+        inside, cols = ~free.any(axis=0), np.arange(p.size)
+        count = np.where(inside, free.shape[0], free.sum(axis=0))
         rows = np.argsort(~free, axis=0, kind="stable")
-        picks = grid[rows[np.multiply.outer([0.25, 0.5, 0.75], free.sum(axis=0)).astype(int), cols], cols]
-        # z = 0 lies in the region unless A, and so T(0) = -A, is regular
-        test = free.any(axis=0) & (p != q) & ((picks != 0).all(axis=0) | (delta is None))
-        lams = picks[:, test] if delta is None else -1j * np.log(picks[:, test]) / delta
-        kernels = np.reshape([m > 0 for m, _, _ in _multiplicities(matrix, lengths, lams)], (3, -1))
-        joined = (p == q) | ~free.any(axis=0)
-        joined[test] = kernels.all(axis=0)
+        picks = grid[rows[np.multiply.outer([0.25, 0.5, 0.75], count).astype(int), cols], cols]
+        joined, out, ins = p == q, ~inside & (p != q), inside & (p != q)
+        joined[out] = (kernels(picks[:, out]) > 0).all(axis=0)
+        ends = kernels(np.stack([p[ins], q[ins]])).min(axis=0)
+        joined[ins] = (kernels(picks[:, ins]) >= ends).all(axis=0)
         return joined
 
     return link

@@ -387,6 +387,16 @@ def test_exact_keeps_the_roots_of_a_short_edge_beside_a_singular_block(block, mu
     assert np.allclose(sorted(rep.values(), key=lambda v: v.real), want, atol=1e-9)
 
 
+def test_exact_keeps_two_roots_inside_the_kernel_region_apart():
+    # the roots 1/2 and 3/5 of B both lie where |z|^100 is below the rank
+    # tolerance, where T has the kernel of the zero column: between them
+    # the kernel is no larger than that, so they are not one group
+    a = GEndomorphism(rose(3), np.diag([0.5, 0.6, 0.0]))
+    rep = spectrum_exact_commensurable(a, [1, 1, 100], 1.0, (-0.5, 0.5))
+    assert rep.values() == pytest.approx([1j * math.log(5 / 3), 1j * math.log(2)], abs=1e-9)
+    assert rep.warnings == ()
+
+
 def test_windows_past_the_precision_of_lambda_are_refused():
     # from |lambda| L eps >= 2 pi on, one float step of lambda turns
     # exp(i lambda L) a full turn
