@@ -14,8 +14,7 @@ produce integer coefficients without rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -58,13 +57,10 @@ class MultiPoly:
 
     def term_edge_sets(self) -> dict[frozenset[str], complex]:
         """Terms keyed by the set of edge ids appearing in the monomial."""
-        out = {}
-        for mask, c in self.terms.items():
-            ids = frozenset(
-                self.edge_ids[i] for i in range(self.n_vars) if mask >> i & 1
-            )
-            out[ids] = c
-        return out
+        return {
+            frozenset(self.edge_ids[i] for i in range(self.n_vars) if mask >> i & 1): c
+            for mask, c in self.terms.items()
+        }
 
     @classmethod
     def from_edge_sets(cls, edge_ids, mapping) -> "MultiPoly":
@@ -195,29 +191,14 @@ def reduce_vertex(a: GEndomorphism, vertex_id: str) -> tuple[MetricGraph, GEndom
     merged = Edge(merged_id, e_in.tail, e_out.head, e_in.length + e_out.length)
 
     # Merged edge takes the incoming edge's slot to keep ordering stable.
-    new_order: list[int | None] = []
-    for i in range(g.n_edges):
-        if i == i_in:
-            new_order.append(None)
-        elif i != i_out:
-            new_order.append(i)
-    edges = [merged if i is None else g.edges[i] for i in new_order]
+    keep = [i for i in range(g.n_edges) if i != i_out]
+    edges = [merged if i == i_in else g.edges[i] for i in keep]
     vertices = [v for v in g.vertices if v != vertex_id]
     new_graph = MetricGraph(vertices, edges)
-
-    alpha = a.matrix[i_out, i_in]
-    nm = len(edges)
-    mat = np.zeros((nm, nm), dtype=complex)
-    for p, i in enumerate(new_order):
-        for q, j in enumerate(new_order):
-            if i is None and j is None:
-                mat[p, q] = alpha * a.matrix[i_in, i_out]
-            elif i is None:
-                mat[p, q] = alpha * a.matrix[i_in, j]
-            elif j is None:
-                mat[p, q] = a.matrix[i, i_out]
-            else:
-                mat[p, q] = a.matrix[i, j]
+    # it receives as the incoming edge does, times alpha, and sends as the
+    # outgoing edge does
+    mat = a.matrix[np.ix_(keep, [i_out if i == i_in else i for i in keep])]
+    mat[keep.index(i_in)] *= a.matrix[i_out, i_in]
     return new_graph, GEndomorphism(new_graph, mat)
 
 
@@ -348,28 +329,34 @@ def specialize_univariate(poly: MultiPoly, multipliers) -> np.ndarray:
 def detect_commensurable(lengths) -> tuple[list[int], float] | None:
     """Integer multipliers and a base length reproducing ``lengths``, if any.
 
-    Each pairwise ratio to the first length is reconstructed as a fraction
-    with denominator at most ``MAX_DENOMINATOR``; when every length is
-    matched within relative ``1e-9`` the common refinement ``delta`` and the
-    list of multipliers ``m_e`` with ``l_e = m_e * delta`` are returned,
-    otherwise ``None``.
+    Each ratio to the first length is approximated, all at once, by its
+    best fraction ``p / q`` with ``q`` at most ``MAX_DENOMINATOR``; when
+    every length is matched within relative ``1e-9`` the common refinement
+    ``delta`` and the list of multipliers ``m_e`` with ``l_e = m_e * delta``
+    are returned, otherwise ``None``.
     """
-    lengths = [float(x) for x in lengths]
-    if not lengths or any(x <= 0 for x in lengths):
+    lengths = np.asarray(lengths, dtype=float)
+    if not lengths.size or np.any(lengths <= 0):
         return None
-    base = lengths[0]
-    fracs = []
-    for x in lengths:
-        f = Fraction(x / base).limit_denominator(MAX_DENOMINATOR)
-        if f <= 0:
-            return None
-        fracs.append(f)
-    common = 1
-    for f in fracs:
-        common = common * f.denominator // gcd(common, f.denominator)
-    delta = base / common
-    mult = [int(f.numerator * (common // f.denominator)) for f in fracs]
-    for m, x in zip(mult, lengths):
+    ratio = lengths / lengths[0]
+    q = np.arange(1.0, MAX_DENOMINATOR + 1)
+    p = np.rint(np.multiply.outer(ratio, q))
+    # |r q - p| / q without rounding r q: r splits into 43 and 10
+    # significant bits (Dekker, Numer. Math. 18 (1971)), whose products
+    # with q are exact
+    split = ratio * 1025.0
+    high = split - (split - ratio)
+    miss = np.multiply.outer(high, q) - p
+    miss += np.multiply.outer(ratio - high, q)
+    best = np.argmin(np.abs(miss, out=miss) / q, axis=1)
+    fracs = [(int(n), int(d)) for n, d in zip(p[np.arange(ratio.size), best], q[best])]
+    if any(n <= 0 for n, _ in fracs):
+        return None
+    fracs = [(n // gcd(n, d), d // gcd(n, d)) for n, d in fracs]
+    common = lcm(*(d for _, d in fracs))
+    delta = float(lengths[0]) / common
+    mult = [n * (common // d) for n, d in fracs]
+    for m, x in zip(mult, lengths.tolist()):
         if abs(m * delta - x) > 1e-9 * x:
             return None
     return mult, delta

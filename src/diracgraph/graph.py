@@ -280,14 +280,8 @@ def enumerate_cycle_collections(
     disjoint.
     """
     cycles = [c.components[0] for c in enumerate_cycles(g, cap)]
-    vsets = []
-    for comp in cycles:
-        verts = set()
-        for eid in comp:
-            e = g.edge(eid)
-            verts.add(e.tail)
-            verts.add(e.head)
-        vsets.append(frozenset(verts))
+    ends = {e.id: (e.tail, e.head) for e in g.edges}
+    vsets = [frozenset(v for eid in comp for v in ends[eid]) for comp in cycles]
 
     out = [CycleCollection(Subgraph(g, frozenset()), ())]
     chosen: list[int] = []

@@ -154,13 +154,20 @@ def parse_boundary(data, g: MetricGraph) -> BoundaryInput:
         n = g.n_edges
         if not isinstance(matrix_raw, list) or len(matrix_raw) != n:
             raise InputFormatError(f"matrix must have {n} rows")
-        rows = []
-        for row in matrix_raw:
-            if not isinstance(row, list) or len(row) != n:
-                raise InputFormatError(f"matrix rows must have {n} entries")
-            rows.append([_complex_pair(x) for x in row])
         try:
-            endo = GEndomorphism(g, np.array(rows, dtype=complex))
+            # no dtype: a string such as "1.5" stays a string and is refused
+            pairs = np.array(matrix_raw)
+        except ValueError:  # ragged nesting
+            pairs = np.empty(0)
+        if pairs.dtype.kind in "biuf" and pairs.shape == (n, n, 2):
+            matrix = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+        else:
+            for row in matrix_raw:
+                if not isinstance(row, list) or len(row) != n:
+                    raise InputFormatError(f"matrix rows must have {n} entries")
+            matrix = np.array([[_complex_pair(x) for x in row] for row in matrix_raw])
+        try:
+            endo = GEndomorphism(g, matrix)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from exc
         return BoundaryInput("endomorphism", endomorphism=endo)

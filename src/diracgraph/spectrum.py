@@ -16,34 +16,29 @@ one only proposes candidate zeros:
   eigenvalues of any real cell exactly; the eigenphase locator bisects
   cells by that count and pins each eigenvalue by bracketed Newton on
   ``det(I - S)``, once per block of the map, at a cost of ``sum_b
-  expected_b n_b**3``; with commensurable lengths it locates at most one
-  period ``2 pi / delta`` of the spectrum and translates it,
+  expected_b n_b**3``, but proposes the eigenvalues ``(arg c + 2 pi k) /
+  L_b`` of a block with one nonzero entry per row, a weighted cycle of
+  holonomy ``c``, directly; with commensurable lengths it locates at most
+  one period ``2 pi / delta`` of the spectrum and translates it,
 * general maps have complex zeros, counted and located inside a rectangle
   by one contour integral (Beyn's method).
 
 Every route works on ``n x n`` or ``d x d`` matrices; none expands ``P_A``.
-All three end in one shared step, :func:`_certified_entries`, which takes
-the edge map's matrix and never reads the graph, and is the only place
-where a candidate is rank-tested, polished or dropped.  The exact and
-contour routes group their root estimates by one rule first (the group size
-is a multiplicity hint, :func:`_tree_groups`).  Every candidate is certified
-by the kernel dimension of ``T(lambda)`` via SVD, in one stacked call; a
-multiple one is polished once by Newton on ``det T`` at that dimension, and
-one without kernel is polished at rising orders until one certifies, or
-warned and dropped.  The certified values go through the same rules: a
-window with slack ``DEDUPE_RADIUS`` (plus any contour padding), a residual
-(smallest singular value of ``T``) above the tolerance plus the rounding of
-``lambda`` drops the entry with a warning, hints above the kernel dimension
-(defective zeros) are warned, and values within ``DEDUPE_RADIUS`` of each
-other are reported once.  On the real axis a unitary map is block diagonal,
+The exact and contour routes group their root estimates by one rule first
+(the group size is a multiplicity hint, :func:`_tree_groups`).  All three
+end in one shared step, :func:`_certified_entries`, which takes the edge
+map's matrix, never reads the graph, and is the only place where a
+candidate is rank-tested by the kernel dimension of ``T(lambda)`` (SVD, in
+one stacked call), polished, dropped, or collapsed into another within
+``DEDUPE_RADIUS``.  On the real axis a unitary map is block diagonal,
 with exact zeros between its blocks, so ``T(lambda)`` is too and its kernel
 is the direct sum of the block kernels: each block's candidates are
 certified on its own ``T_b``, and entries of different blocks within
 ``DEDUPE_RADIUS`` are merged into one, their multiplicities added and their
 eigenfunctions joined (:func:`_certified_blocks`).  The locator's blocks and
-the trails of an edge permutation (``trails.permutation_spectrum``) both
-end there.  Multiplicities never come from root clustering, and the kernel
-vectors double as eigenfunction amplitudes.
+the trails of an edge permutation (``trails.permutation_spectrum``, by the
+same cycle rule) both end there.  Multiplicities never come from root
+clustering, and the kernel vectors double as eigenfunction amplitudes.
 """
 
 from __future__ import annotations
@@ -398,7 +393,9 @@ def _certified_entries(
     the entry with a warning, and a hint above the kernel dimension is
     warned as a defective zero.  Certified values within ``DEDUPE_RADIUS``
     of a kept one are collapsed into it in a single sorted pass: scattered
-    roots of one zero can all certify to the same eigenvalue.
+    roots of one zero can all certify to the same eigenvalue.  A collapsed
+    value more than ``1e-12 (1 + |lambda|)`` from the kept one is warned: it
+    may be a second eigenvalue, hidden.
     """
 
     def polish(z: complex, order: int) -> complex | None:
@@ -442,8 +439,11 @@ def _certified_entries(
         entries.append(EigenvalueEntry(lam, m, residual, funcs))
     unique: list[EigenvalueEntry] = []
     for entry in _sorted_entries(entries):
-        if not unique or abs(entry.value - unique[-1].value) > DEDUPE_RADIUS:
+        gap = abs(entry.value - unique[-1].value) if unique else math.inf
+        if gap > DEDUPE_RADIUS:
             unique.append(entry)
+        elif gap > 1e-12 * (1 + abs(entry.value)):
+            warnings.append(f"eigenvalue {unique[-1].value:.6g} hides one {gap:.2e} away")
     return tuple(unique)
 
 
@@ -728,6 +728,18 @@ def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]
     return [(complex(x), 1) for x in roots] + [(complex(x), int(c)) for x, c in narrow]
 
 
+def _cycle_candidates(matrix, lengths, base: float, top: float) -> list[tuple[complex, int]]:
+    """Candidates ``(point, 1)`` on ``[base, top)`` for a block that is one
+    weighted cycle, one nonzero entry per row: ``det(I - S(x)) = 1 - c
+    exp(-i x L)`` with ``c`` the product of the entries, its holonomy, so
+    its eigenvalues are the simple zeros ``(arg c + 2 pi k) / L`` (Kottos &
+    Smilansky, Ann. Phys. 274 (1999)), and none is searched for."""
+    total = float(lengths.sum())
+    step, shift = 2 * math.pi / total, float(np.angle(np.prod(matrix[matrix != 0]))) / total
+    ks = range(math.ceil((base - shift) / step), math.ceil((top - shift) / step))
+    return [(complex(shift + k * step), 1) for k in ks]
+
+
 def _check_width(window: Window, total: float, period: float = math.inf) -> None:
     """Refuse a window, real or a rectangle's real extent, before anything is
     solved: for the total length ``L`` (a Python float, so that no NumPy
@@ -776,13 +788,6 @@ def commensurable(lengths) -> tuple[list[int], float] | None:
     return found
 
 
-def _period(lengths) -> float:
-    """Period ``2 pi / delta`` of the spectrum for :func:`commensurable`
-    lengths, or ``inf``."""
-    found = commensurable(lengths)
-    return math.inf if found is None else 2 * math.pi / found[1]
-
-
 def _require_unitary(a) -> None:
     if not is_unitary(a):
         raise DiracGraphError(
@@ -813,7 +818,9 @@ def spectrum_numeric(
     transforms (:func:`_phase_sums`), count the eigenvalues in each cell
     exactly (:func:`_counts`); cells are bisected until each holds one,
     which bracketed Newton on ``det(I - S_b)`` pins, or is too narrow to
-    split, which is one multiple candidate.  For :func:`commensurable`
+    split, which is one multiple candidate.  A block with one nonzero entry
+    per row is one weighted cycle, whose candidates come in closed form
+    instead (:func:`_cycle_candidates`).  For :func:`commensurable`
     lengths ``l_e = m_e delta`` ``S`` has the period ``P = 2 pi / delta``: a
     window wider than that has one period of its tiling ``[lo + k P, lo + (k
     + 1) P)`` located, the one next to the origin, and its candidates
@@ -825,14 +832,16 @@ def spectrum_numeric(
     ``expected n**3``, with no polynomial expansion and no edge cap;
     :func:`_real_window` bounds the eigenvalues located and listed.  The
     report's ``winding``, the sum of the block counts of the window widened
-    by ``DEDUPE_RADIUS``, checks the listed multiplicities; where a period
-    was translated, each block is counted on the whole window, which checks
-    the translation.  For a map that is not unitary the spectrum need not be
-    real and this solver refuses; use the contour solver instead.
+    by ``DEDUPE_RADIUS``, checks the listed multiplicities; a cycle, and any
+    block whose period was translated, is counted at the window ends, which
+    checks the closed form and the translation.  For a map that is not
+    unitary the spectrum need not be real and this solver refuses; use the
+    contour solver instead.
     """
     window = as_window(window)
     lengths = np.asarray(a.graph.lengths() if lengths is None else lengths, dtype=float)
-    period = _period(lengths)
+    found = commensurable(lengths)
+    period = math.inf if found is None else 2 * math.pi / found[1]
     lo, hi = _real_window(window, lengths, period)
     _require_unitary(a)
     periodic = lo + period < hi
@@ -852,20 +861,22 @@ def spectrum_numeric(
     support = np.abs(a.matrix)
     for idx in edge_classes(support + support.T):
         m, l = a.matrix[np.ix_(idx, idx)], lengths[idx]
-        cells = max(1, math.ceil((top - base) * l.sum() / (2 * math.pi)))
-        xs = np.linspace(base, top, cells + 1)
-        p = _phase_sums(m, l, xs)
-        count = _counts(float(l.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
-        located = _locate(m, l, xs[:-1], xs[1:], p[:-1], p[1:], count)
+        count = None
+        if np.all(np.count_nonzero(m, axis=1) == 1):
+            located = _cycle_candidates(m, l, base, top)
+        else:
+            cells = max(1, math.ceil((top - base) * l.sum() / (2 * math.pi)))
+            xs = np.linspace(base, top, cells + 1)
+            p = _phase_sums(m, l, xs)
+            count = _counts(float(l.sum()), xs[:-1], xs[1:], p[:-1], p[1:])
+            located = _locate(m, l, xs[:-1], xs[1:], p[:-1], p[1:], count)
         if periodic:
             located = [
                 (math.fsum((x.real, k * head, k * tail)), hint)
                 for k in turns
                 for x, hint in located
             ]
-            winding += _window_count(m, l, lo, hi)
-        else:
-            winding += int(count.sum())
+        winding += _window_count(m, l, lo, hi) if periodic or count is None else int(count.sum())
         blocks.append((idx, located))
     warnings: list[str] = []
     entries = _certified_blocks(a.matrix, lengths, window, blocks, residual_tol, warnings)

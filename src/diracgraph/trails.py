@@ -20,7 +20,8 @@ import numpy as np
 from .boundary import GEndomorphism
 from .errors import EnumerationCapExceeded
 from .graph import MetricGraph
-from .spectrum import RESIDUAL_TOL, SpectrumReport, as_window, _certified_blocks, _real_window
+from .spectrum import RESIDUAL_TOL, SpectrumReport, as_window, _certified_blocks
+from .spectrum import _cycle_candidates, _real_window
 
 ENUMERATION_GUARD = 10**6
 
@@ -190,12 +191,14 @@ def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) ->
     """Closed-form spectrum of the boundary condition of an edge permutation.
 
     Each trail is one cyclic block of the permutation map, and a trail of
-    metric length ``L_j`` contributes the eigenvalues ``2 pi k / L_j``.
-    These only propose: every block's candidates, hinted simple, go through
-    the shared step of the real axis (:func:`spectrum._certified_blocks`),
-    which certifies them by the rank of the trail's own ``T_b(lambda)`` and
-    merges the entries of trails that meet within ``DEDUPE_RADIUS``, adding
-    their multiplicities.  Zero is an eigenvalue of every trail, so its
+    metric length ``L_j`` contributes the eigenvalues ``2 pi k / L_j``: the
+    eigenphase locator's rule for a weighted cycle, here of holonomy 1
+    (:func:`spectrum._cycle_candidates`).  These only propose: every
+    block's candidates, hinted simple, go through the shared step of the
+    real axis (:func:`spectrum._certified_blocks`), which certifies them by
+    the rank of the trail's own ``T_b(lambda)`` and merges the entries of
+    trails that meet within ``DEDUPE_RADIUS``, adding their
+    multiplicities.  Zero is an eigenvalue of every trail, so its
     multiplicity is the trail count.  Eigenfunctions are supported on one
     trail each.  A window expected to hold more than ``MAX_EXPECTED_ROOTS``
     eigenvalues, ``width sum(l) / 2 pi``, is refused with
@@ -205,14 +208,12 @@ def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) ->
     window = as_window(window)
     lengths = np.asarray(g.lengths() if lengths is None else lengths, dtype=float)
     lo, hi = _real_window(window, lengths)
+    matrix = p.to_endomorphism().matrix
     blocks = []
     for trail in permutation_to_decomposition(p).trails:
         idx = np.array([g.edge_index(eid) for eid in trail])
-        step = 2 * math.pi / float(lengths[idx].sum())
-        ks = range(math.ceil(lo / step), math.floor(hi / step) + 1)
-        blocks.append((idx, [(k * step, 1) for k in ks]))
+        blocks.append((idx, _cycle_candidates(matrix[np.ix_(idx, idx)], lengths[idx], lo, hi)))
     warnings: list[str] = []
-    matrix = p.to_endomorphism().matrix
     entries = _certified_blocks(matrix, lengths, window, blocks, RESIDUAL_TOL, warnings)
     return SpectrumReport("closed-form", window, entries, tuple(warnings))
 

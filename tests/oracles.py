@@ -5,19 +5,23 @@ with the routine it checks: term-by-term polynomial evaluation, the secular
 function summed straight from cycle collections, edge connectivity by
 trying every removal subset, real eigenvalues by bisecting on the
 eigenphase count of plain ``eigvals``, eigenvalue multiplicities from
-the boundary subspace instead of the edge map, and the distinct roots of an
-integer polynomial by exact rational arithmetic.
+the boundary subspace instead of the edge map, the eigenvalues of weighted
+cycles by following each one around, the distinct roots of an
+integer polynomial and the commensurability of lengths by exact rational
+arithmetic.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from diracgraph.charpoly import MAX_DENOMINATOR
 from diracgraph.graph import DEFAULT_EDGE_CAP, enumerate_cycle_collections
 from diracgraph.linalg import intersection_dim
-from diracgraph.spectrum import RANK_RTOL
+from diracgraph.spectrum import DEDUPE_RADIUS, RANK_RTOL
 
 
 def evaluate_point(poly, values) -> complex:
@@ -148,6 +152,38 @@ def real_eigenvalues_by_bisection(a, lengths, lo: float, hi: float, tol: float =
     return sorted(found)
 
 
+def weighted_cycle_lattice(matrix, lengths, lo: float, hi: float):
+    """Eigenvalues in ``[lo, hi]`` of a map with one nonzero entry in every
+    row and column, as sorted ``(value, count)`` pairs.
+
+    Following the entries from an edge back to itself traces one cycle,
+    with the product ``c`` of its entries and its length ``L``; its
+    eigenvalues are where ``c exp(-i lambda L) = 1``, the real lattice
+    ``(arg c + 2 pi k) / L``.  Values within ``DEDUPE_RADIUS`` of the first
+    of a run count as one, as the solvers report them.
+    """
+    n = len(lengths)
+    target = [int(np.flatnonzero(matrix[:, j])[0]) for j in range(n)]
+    seen, values = set(), []
+    for start in range(n):
+        c, total, j = 1.0 + 0.0j, 0.0, start
+        while j not in seen:
+            seen.add(j)
+            c, total, j = c * complex(matrix[target[j], j]), total + float(lengths[j]), target[j]
+        arg = cmath.phase(c)
+        k = math.floor((lo * total - arg) / (2 * math.pi))
+        while total and (x := (arg + 2 * math.pi * k) / total) <= hi:
+            values += [x] if x >= lo else []
+            k += 1
+    found = []
+    for x in sorted(values):
+        if found and x - found[-1][0] <= DEDUPE_RADIUS:
+            found[-1][1] += 1
+        else:
+            found.append([x, 1])
+    return [(x, c) for x, c in found]
+
+
 def general_eigencondition(b, lengths, lam: complex) -> int:
     """Eigenvalue multiplicity of ``lam`` under an arbitrary boundary subspace.
 
@@ -200,3 +236,22 @@ def distinct_roots(coeffs) -> np.ndarray:
     while r:
         g, r = r, _remainder(g, r)
     return np.roots([float(c) for c in _divide([Fraction(c) for c in p], g)[0]])
+
+
+def commensurable_by_fractions(lengths):
+    """``(multipliers, delta)`` with ``l_e = m_e delta`` within relative
+    ``1e-9``, or ``None``: each ratio to the first length reconstructed on
+    its own by ``Fraction.limit_denominator(MAX_DENOMINATOR)``, the closest
+    fraction of bounded denominator in exact arithmetic."""
+    lengths = [float(x) for x in lengths]
+    if not lengths or any(x <= 0 for x in lengths):
+        return None
+    fracs = [Fraction(x / lengths[0]).limit_denominator(MAX_DENOMINATOR) for x in lengths]
+    if any(f <= 0 for f in fracs):
+        return None
+    common = math.lcm(*(f.denominator for f in fracs))
+    delta = lengths[0] / common
+    mult = [int(f.numerator * (common // f.denominator)) for f in fracs]
+    if any(abs(m * delta - x) > 1e-9 * x for m, x in zip(mult, lengths)):
+        return None
+    return mult, delta

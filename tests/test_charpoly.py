@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracgraph import (
     CharFunction,
@@ -31,7 +33,7 @@ from diracgraph.randgen import (
     random_g_permutation,
     random_graph,
 )
-from oracles import evaluate_point
+from oracles import commensurable_by_fractions, evaluate_point
 
 
 def exact_det(rows):
@@ -635,6 +637,30 @@ def test_commensurable_round_trip():
         assert res is not None
         got_mult, got_delta = res
         assert np.allclose(np.array(got_mult) * got_delta, lengths, rtol=1e-9)
+
+
+LENGTH_DRAWS = ["multiples", "fractions", "noisy", "random", "wide"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(LENGTH_DRAWS))
+def test_commensurable_matches_the_fraction_oracle(seed, kind):
+    # the array pass over all denominators against limit_denominator per
+    # ratio: the same multipliers and the same base length, bit for bit
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 17))
+    scale = float(rng.uniform(0.1, 5.0))
+    if kind == "multiples":
+        lengths = rng.integers(1, int(rng.choice([5, 50, 1000, 10**5])), size=n) * scale
+    elif kind in ("fractions", "noisy"):
+        lengths = rng.integers(1, 3000, size=n) / rng.integers(1, 1001, size=n) * scale
+        if kind == "noisy":
+            lengths *= 1 + rng.normal(0.0, 1e-9, size=n) * rng.choice([0.1, 1.0, 10.0])
+    elif kind == "random":
+        lengths = rng.uniform(0.1, 10.0, size=n) * scale
+    else:
+        lengths = 10.0 ** rng.uniform(-12, 12, size=n)
+    assert detect_commensurable(lengths) == commensurable_by_fractions(lengths)
 
 
 # -- printing -------------------------------------------------------------

@@ -134,6 +134,33 @@ def test_endomorphism_round_trip():
     assert np.array_equal(parsed.endomorphism.matrix, a.matrix)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (["1.5", 0], "expected [re, im] pair, got ['1.5', 0]"),
+        ([1], "expected [re, im] pair, got [1]"),
+        ([1, 0, 0], "expected [re, im] pair, got [1, 0, 0]"),
+        (None, "expected [re, im] pair, got None"),
+        ([[1], [0]], "expected [re, im] pair, got [[1], [0]]"),
+    ],
+)
+def test_endomorphism_entries_that_are_no_number_pair_are_named(entry, message):
+    # the matrix is read in one array conversion, and only a matrix that is
+    # not a numeric n x n x 2 array is walked entry by entry for the message
+    doc = {"type": "endomorphism", "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]}
+    with pytest.raises(InputFormatError) as err:
+        parse_boundary(doc, directed_cycle(2))
+    assert str(err.value) == message
+
+
+def test_endomorphism_reads_integers_booleans_and_signed_zeros():
+    g = rose(2)
+    doc = {"type": "endomorphism", "matrix": [[[1, 0], [True, -0.0]], [[0.5, 2], [False, 1e-320]]]}
+    got = parse_boundary(doc, g).endomorphism.matrix
+    assert got.tolist() == [[1, 1], [0.5 + 2j, 1e-320j]]
+    assert math.copysign(1.0, got[0, 1].imag) == -1.0
+
+
 def test_adjacency_boundary_kind():
     g = bidirected_triangle()
     parsed = parse_boundary({"type": "adjacency"}, g)

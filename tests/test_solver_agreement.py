@@ -36,10 +36,11 @@ from diracgraph.spectrum import DEDUPE_RADIUS
 from diracgraph.randgen import (
     random_eulerian_graph,
     random_g_endomorphism,
+    random_g_permutation,
     random_graph,
     random_unitary_g_endomorphism,
 )
-from oracles import distinct_roots, real_eigenvalues_by_bisection
+from oracles import distinct_roots, real_eigenvalues_by_bisection, weighted_cycle_lattice
 
 CASES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -110,6 +111,45 @@ def test_exact_and_eigenphase_agree_on_unitary_maps(seed):
     located = spectrum_numeric(a, np.multiply(mult, delta), window)
     assert_same_entries(located, exact)
     assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+
+
+def weighted_permutation(seed, unit_lengths):
+    """A vertex-compatible edge permutation on a random Eulerian graph, each
+    entry times a random unit phase: every trail is a weighted cycle."""
+    rng = np.random.default_rng(seed)
+    g = random_eulerian_graph(rng, max_edges=7, unit_lengths=unit_lengths)
+    phases = np.exp(2j * np.pi * rng.uniform(size=g.n_edges))
+    return rng, GEndomorphism(g, random_g_permutation(g, rng).to_endomorphism().matrix * phases)
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_eigenphase_and_exact_agree_on_weighted_permutations(seed):
+    # the locator proposes each cycle's lattice in closed form, the exact
+    # route takes the roots of the subdivided map; a short window, and one
+    # of 2-40 periods where one period is located and translated
+    rng, a = weighted_permutation(seed, unit_lengths=True)
+    mult = [int(m) for m in rng.integers(1, 4, size=a.n_edges)]
+    delta, lo = float(rng.uniform(0.5, 1.5)), rng.uniform(-10.0, 10.0)
+    for width in (rng.uniform(0.5, 8.0), rng.uniform(2.0, 40.0) * 2 * np.pi / delta):
+        exact = spectrum_exact_commensurable(a, mult, delta, (lo, lo + width))
+        located = spectrum_numeric(a, np.multiply(mult, delta), (lo, lo + width))
+        assert_same_entries(located, exact)
+        assert located.winding == sum(e.multiplicity for e in located.eigenvalues)
+        assert located.warnings == ()
+
+
+@CASES
+@given(st.integers(0, 2**32 - 1))
+def test_eigenphase_lists_the_lattices_of_weighted_cycles(seed):
+    rng, a = weighted_permutation(seed, unit_lengths=False)
+    lo = rng.uniform(-10.0, 10.0)
+    hi = lo + rng.uniform(0.5, 8.0)
+    located = spectrum_numeric(a, window=(lo, hi))
+    want = weighted_cycle_lattice(a.matrix, a.graph.lengths(), lo - DEDUPE_RADIUS, hi + DEDUPE_RADIUS)
+    assert [e.multiplicity for e in located.eigenvalues] == [c for _, c in want]
+    assert np.allclose(located.values(), [x for x, _ in want], rtol=0, atol=1e-9)
+    assert located.winding == sum(c for _, c in want) and located.warnings == ()
 
 
 def singular_integer_maps(seed, top):

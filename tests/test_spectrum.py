@@ -353,6 +353,15 @@ def test_exact_lists_both_roots_of_a_close_pair(gap):
     assert [v.real for v in rep.values()] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
+def test_exact_warns_where_the_dedupe_hides_an_eigenvalue():
+    # the roots 2 and 2 + 1e-7 of B give eigenvalues 5e-8 apart, within
+    # DEDUPE_RADIUS: one entry is listed, and the value it hides is warned
+    a = GEndomorphism(rose(2), np.diag([2.0, 2.0 + 1e-7]))
+    rep = spectrum_exact_commensurable(a, [1, 1], 1.0, Window.rect(-1, 1, -2, 0))
+    assert [e.multiplicity for e in rep.eigenvalues] == [1]
+    assert rep.warnings == ("eigenvalue 0-0.693147j hides one 5.00e-08 away",)
+
+
 @pytest.mark.parametrize("mult", [(30, 31), (31, 30), (100, 101)])
 def test_exact_keeps_the_roots_beside_a_zero_column(mult):
     # A = diag(2, 0): B has the roots of z^m1 = 2 on a circle of radius
@@ -464,6 +473,56 @@ def test_eigenphase_cycle_phases_closed_form():
         assert len(rep.eigenvalues) == len(want)
         assert np.allclose(rep.values(), want, atol=1e-8)
         assert all(e.multiplicity == 1 for e in rep.eigenvalues)
+
+
+def cycle_lattice(phases, total, lo, hi):
+    """The lattice ``(arg c + 2 pi k) / L`` of a weighted cycle on [lo, hi)."""
+    arg = math.remainder(sum(phases), 2 * math.pi)
+    first, stop = (math.ceil((x * total - arg) / (2 * math.pi)) for x in (lo, hi))
+    return [(arg + 2 * math.pi * k) / total for k in range(first, stop)]
+
+
+@pytest.mark.parametrize(
+    "lengths, window",
+    [((1.0, math.sqrt(2), math.sqrt(3)), (-5.0, 12.0)), ((1.0, 1.0, 2.0), (-30.0, 40.0))],
+)
+def test_eigenphase_proposes_a_weighted_cycle_in_closed_form(monkeypatch, lengths, window):
+    # one nonzero entry per row: det(I - S(x)) = 1 - c exp(-i x L), so the
+    # candidates are its lattice, with no search; the phase sums are read
+    # once, at the window ends, for the count.  The second window spans
+    # eleven periods 2 pi / delta, one located and the rest translated
+    points = []
+    phase_sums = spectrum._phase_sums
+    monkeypatch.setattr(
+        spectrum, "_phase_sums", lambda m, l, xs: points.append(len(xs)) or phase_sums(m, l, xs)
+    )
+    monkeypatch.setattr(spectrum, "_locate", None)
+    monkeypatch.setattr(spectrum, "_phase_newton", None)
+    phases = (0.3, 1.1, -2.0)
+    a = shift_map(directed_cycle(3, list(lengths)), np.exp(1j * np.array(phases)))
+    rep = spectrum_numeric(a, window=window)
+    want = cycle_lattice(phases, sum(lengths), *window)
+    assert rep.values() == pytest.approx(want, abs=1e-12)
+    assert [e.multiplicity for e in rep.eigenvalues] == [1] * len(want)
+    assert rep.winding == len(want) and rep.warnings == () and points == [2]
+
+
+def test_eigenphase_treats_a_nearly_unitary_cycle_as_before():
+    # |c| = 1 - 5e-9: the zeros of 1 - c exp(-i x L) lie 5e-9 / L off the
+    # real axis.  Each lattice point passes the rank test, and its residual
+    # 9.6e-10 drops it at the default tolerance and lists it at 1e-8
+    phases = (0.3, 1.1, -2.0)
+    weights = (1 - 5e-9) ** (1 / 3) * np.exp(1j * np.array(phases))
+    total = 1 + math.sqrt(2) + math.sqrt(3)
+    a = shift_map(directed_cycle(3, [1.0, math.sqrt(2), math.sqrt(3)]), weights)
+    want = cycle_lattice(phases, total, -5.0, 12.0)
+    rep = spectrum_numeric(a, window=(-5.0, 12.0))
+    assert rep.eigenvalues == () and rep.winding == len(want) == 12
+    assert all("dropped: residual 9.6" in w for w in rep.warnings[:-1])
+    assert rep.warnings[-1] == "winding number 12 and reported multiplicity sum 0 disagree"
+    rep = spectrum_numeric(a, window=(-5.0, 12.0), residual_tol=1e-8)
+    assert rep.values() == pytest.approx(want, abs=1e-9)
+    assert [e.multiplicity for e in rep.eigenvalues] == [1] * 12 and rep.warnings == ()
 
 
 def test_eigenphase_agrees_with_exact_on_random_unitary_maps():
