@@ -729,11 +729,10 @@ def _locate(matrix, lengths, x0, x1, p0, p1, count) -> list[tuple[complex, int]]
 
 
 def _cycle_candidates(matrix, lengths, base: float, top: float) -> list[tuple[complex, int]]:
-    """Candidates ``(point, 1)`` on ``[base, top)`` for a block that is one
-    weighted cycle, one nonzero entry per row: ``det(I - S(x)) = 1 - c
-    exp(-i x L)`` with ``c`` the product of the entries, its holonomy, so
-    its eigenvalues are the simple zeros ``(arg c + 2 pi k) / L`` (Kottos &
-    Smilansky, Ann. Phys. 274 (1999)), and none is searched for."""
+    """Candidates ``(point, 1)`` on ``[base, top)`` of one weighted cycle, a
+    block with one nonzero entry per row: ``det(I - S(x)) = 1 - c exp(-i x
+    L)`` for its holonomy ``c``, the product of its entries, whose simple
+    zeros ``(arg c + 2 pi k) / L`` need no search (Kottos & Smilansky)."""
     total = float(lengths.sum())
     step, shift = 2 * math.pi / total, float(np.angle(np.prod(matrix[matrix != 0]))) / total
     ks = range(math.ceil((base - shift) / step), math.ceil((top - shift) / step))
@@ -761,9 +760,11 @@ def _check_width(window: Window, total: float, period: float = math.inf) -> None
 
 def _real_window(window: Window, lengths, period: float = math.inf) -> tuple[float, float]:
     """Bounds of a real window, checked by :func:`_check_width` and widened
-    by ``DEDUPE_RADIUS``."""
+    by ``DEDUPE_RADIUS``, for positive lengths."""
     if not window.is_real_interval and not (window.im_min <= 0.0 <= window.im_max):
         raise ValueError("real-axis solver needs a window containing the real line")
+    if not np.all(np.asarray(lengths) > 0):
+        raise ValueError("edge lengths must be positive")
     _check_width(window, float(np.sum(lengths)), period)
     return window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
 
@@ -861,9 +862,8 @@ def spectrum_numeric(
     support = np.abs(a.matrix)
     for idx in edge_classes(support + support.T):
         m, l = a.matrix[np.ix_(idx, idx)], lengths[idx]
-        count = None
         if np.all(np.count_nonzero(m, axis=1) == 1):
-            located = _cycle_candidates(m, l, base, top)
+            located, count = _cycle_candidates(m, l, base, top), None
         else:
             cells = max(1, math.ceil((top - base) * l.sum() / (2 * math.pi)))
             xs = np.linspace(base, top, cells + 1)

@@ -631,6 +631,9 @@ def test_eigenphase_refusals():
     g, a = scaled_identity_rose(1, 1.0)
     with pytest.raises(ValueError):
         spectrum_numeric(a, window=Window.rect(-1, 1, 0.5, 1.0))
+    # a loop of length 0 has every lambda as an eigenvalue, or none
+    with pytest.raises(ValueError, match="positive"):
+        spectrum_numeric(GEndomorphism(rose(2), np.eye(2)), [0.0, 1.0], window=(0.0, 7.0))
     # lambda L overflows: S(lambda) has no value there
     with pytest.raises(WindowTooLargeError, match="overflows"):
         spectrum_numeric(a, [100.0], window=(-1e308, -1e308))
