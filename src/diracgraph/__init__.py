@@ -14,7 +14,6 @@ from .adjacency import (
     AdjacencyEndomorphism,
     CoefficientProfile,
     TopologyReport,
-    adjacency_nonsingular,
     build_adjacency,
     charpoly_via_collections,
     edge_connectivity,
@@ -29,7 +28,6 @@ from .boundary import (
     endomorphism_from_subspace,
     graph_of,
     index,
-    is_local,
     is_unitary,
     local_decomposition,
     scalar_cokernel_dim,
@@ -44,7 +42,6 @@ from .charpoly import (
     detect_commensurable,
     reduce_vertex,
     specialize_univariate,
-    split_reducible,
     univariate_to_string,
 )
 from .errors import (
@@ -79,7 +76,6 @@ from .spectrum import (
     EigenvalueEntry,
     SpectrumReport,
     Window,
-    eigenfunction_residual,
     multiplicity,
     spectrum_complex,
     spectrum_exact_commensurable,
@@ -91,7 +87,6 @@ from .trails import (
     decomposition_to_permutation,
     enumerate_g_permutations,
     longest_trail_from_spectrum,
-    loop_count_via_trace,
     permutation_spectrum,
     permutation_to_decomposition,
 )

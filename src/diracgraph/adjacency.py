@@ -18,13 +18,7 @@ import numpy as np
 from .boundary import GEndomorphism
 from .charpoly import MultiPoly
 from .errors import DiracGraphError
-from .graph import (
-    DEFAULT_EDGE_CAP,
-    MetricGraph,
-    degrees,
-    enumerate_cycle_collections,
-)
-from .trails import GPermutation, permutation_to_decomposition
+from .graph import DEFAULT_EDGE_CAP, MetricGraph, enumerate_cycle_collections
 
 
 class AdjacencyEndomorphism(GEndomorphism):
@@ -34,28 +28,6 @@ class AdjacencyEndomorphism(GEndomorphism):
 def build_adjacency(g: MetricGraph) -> AdjacencyEndomorphism:
     mask = GEndomorphism.allowed_support(g)
     return AdjacencyEndomorphism(g, mask.astype(complex))
-
-
-def adjacency_nonsingular(g: MetricGraph) -> tuple[bool, int | None]:
-    """Whether the adjacency map is invertible, with its exact determinant.
-
-    Invertibility forces every vertex to have in and out degree one, in
-    which case the graph is a disjoint union of cycles and the determinant
-    is ``(-1)`` to the number of cycles minus the number of edges.  The sign
-    is cross-checked against a floating point determinant.
-    """
-    if any(degrees(g, v) != (1, 1) for v in g.vertices):
-        return False, None
-    # Disjoint cycles: the unique successors form a permutation, one orbit each.
-    succ = {e.id: g.edges[g.out_edges(e.head)[0]].id for e in g.edges}
-    cycles = permutation_to_decomposition(GPermutation(g, succ)).trail_count
-    det = (-1) ** ((cycles - g.n_edges) % 2)
-    numeric = np.linalg.det(build_adjacency(g).matrix).real
-    if abs(numeric - det) > 1e-6:
-        raise DiracGraphError(
-            f"determinant cross-check failed: closed form {det}, numeric {numeric}"
-        )
-    return True, det
 
 
 def charpoly_via_collections(g: MetricGraph, cap: int = DEFAULT_EDGE_CAP) -> MultiPoly:
@@ -180,21 +152,18 @@ def topology_from_coefficients(
     )
 
 
-def edge_connectivity(g: MetricGraph, mode: str = "directed") -> int:
-    """Least number of edge removals that disconnect the graph.
+def edge_connectivity(g: MetricGraph) -> int:
+    """Least number of edge removals that leave the underlying undirected
+    graph disconnected.
 
-    ``mode="directed"`` requires strong connectivity of what remains,
-    ``mode="undirected"`` only connectivity of the underlying undirected
-    graph; a vertex left without any incident edge counts as disconnecting
-    in both modes, so no vertex needs more removals than its incident edges.
-    By Menger's theorem the least cut between two vertices is the largest
-    number of edge-disjoint paths joining them, found by unit-capacity
-    augmenting paths (Even & Tarjan, SIAM J. Comput. 4, 1975).  Fixing one
-    vertex ``v0``, every cut separates it from some ``t`` (or, in directed
-    mode, some ``t`` from it), so the answer is the least such flow.
+    A vertex left without any incident edge counts as disconnected, so no
+    vertex needs more removals than its incident edges.  By Menger's
+    theorem the least cut between two vertices is the largest number of
+    edge-disjoint paths joining them, found by unit-capacity augmenting
+    paths (Even & Tarjan, SIAM J. Comput. 4, 1975).  Fixing one vertex
+    ``v0``, every cut separates it from some ``t``, so the answer is the
+    least such flow.
     """
-    if mode not in ("directed", "undirected"):
-        raise ValueError("mode must be 'directed' or 'undirected'")
     pos = {v: i for i, v in enumerate(g.vertices)}
     n = len(pos)
     capacity = [[0] * n for _ in range(n)]
@@ -205,13 +174,10 @@ def edge_connectivity(g: MetricGraph, mode: str = "directed") -> int:
         if head != tail:
             incident[head] += 1
             capacity[tail][head] += 1
-            if mode == "undirected":
-                capacity[head][tail] += 1
+            capacity[head][tail] += 1
     best = min(incident, default=0)
     for t in range(1, n):
         best = _max_flow(capacity, 0, t, best)
-        if mode == "directed":
-            best = _max_flow(capacity, t, 0, best)
     return best
 
 

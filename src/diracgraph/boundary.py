@@ -154,10 +154,6 @@ class BoundarySubspace:
     def equals(self, other: "BoundarySubspace", rtol: float = linalg.SUBSPACE_TOL) -> bool:
         return linalg.spans_equal(self.matrix, other.matrix, rtol)
 
-    def distance(self, other: "BoundarySubspace") -> float:
-        """Spectral norm distance of the orthogonal projectors."""
-        return linalg.span_distance(self.matrix, other.matrix)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"BoundarySubspace(dim={self.dim}, ambient={self.space.dim})"
 
@@ -209,11 +205,11 @@ class GEndomorphism:
         return f"GEndomorphism(on {self.graph!r})"
 
 
-def is_unitary(a: GEndomorphism, tol: float = UNITARY_TOL) -> bool:
-    """Whether ``A* A = 1`` up to ``tol`` in the entrywise maximum norm."""
+def is_unitary(a: GEndomorphism) -> bool:
+    """Whether ``A* A = 1`` up to ``UNITARY_TOL`` in the entrywise maximum norm."""
     n = a.n_edges
     gram = a.matrix.conj().T @ a.matrix - np.eye(n)
-    return bool(np.max(np.abs(gram), initial=0.0) <= tol)
+    return bool(np.max(np.abs(gram), initial=0.0) <= UNITARY_TOL)
 
 
 def graph_of(a: GEndomorphism) -> BoundarySubspace:
@@ -281,10 +277,6 @@ def local_decomposition(b: BoundarySubspace) -> dict[str, np.ndarray] | None:
             blocks[v] = b.matrix @ coeffs
         total += k
     return blocks if total == b.dim else None
-
-
-def is_local(b: BoundarySubspace) -> bool:
-    return local_decomposition(b) is not None
 
 
 def adjoint_condition(b: BoundarySubspace) -> BoundarySubspace:

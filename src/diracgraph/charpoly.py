@@ -20,7 +20,7 @@ import numpy as np
 
 from .boundary import GEndomorphism
 from .errors import EnumerationCapExceeded
-from .graph import DEFAULT_EDGE_CAP, Edge, MetricGraph, Subgraph
+from .graph import DEFAULT_EDGE_CAP, Edge, MetricGraph
 
 # Relative size below which an accumulated coefficient is considered
 # cancellation dust and dropped.
@@ -73,43 +73,6 @@ class MultiPoly:
                 mask |= 1 << pos[eid]
             terms[mask] = terms.get(mask, 0.0) + complex(c)
         return cls(edge_ids, terms)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.edge_ids != other.edge_ids:
-            raise ValueError("polynomials index different edge lists")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0.0) + c
-        return MultiPoly(self.edge_ids, terms)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        """Product, defined only when no variable occurs in both factors."""
-        if self.edge_ids != other.edge_ids:
-            raise ValueError("polynomials index different edge lists")
-        terms: dict[int, complex] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    raise ValueError(
-                        "product would exceed degree one in a shared variable"
-                    )
-                m = m1 | m2
-                terms[m] = terms.get(m, 0.0) + c1 * c2
-        return MultiPoly(self.edge_ids, terms)
-
-    def scaled(self, factor: complex) -> "MultiPoly":
-        return MultiPoly(self.edge_ids, {m: factor * c for m, c in self.terms.items()})
-
-    def substitute_one(self, edge_id: str) -> "MultiPoly":
-        """Set one variable to 1 and drop it from the variable list."""
-        pos = self.edge_ids.index(edge_id)
-        low = (1 << pos) - 1
-        terms: dict[int, complex] = {}
-        for mask, c in self.terms.items():
-            new = (mask & low) | ((mask >> (pos + 1)) << pos)
-            terms[new] = terms.get(new, 0.0) + c
-        ids = self.edge_ids[:pos] + self.edge_ids[pos + 1 :]
-        return MultiPoly(ids, terms)
 
 
 def char_poly(a: GEndomorphism, cap: int = DEFAULT_EDGE_CAP) -> MultiPoly:
@@ -230,25 +193,6 @@ def edge_classes(matrix) -> list[np.ndarray]:
     return out
 
 
-def split_reducible(a: GEndomorphism) -> list[tuple[frozenset[str], GEndomorphism]]:
-    """Finest splitting of the edge set into invariant blocks.
-
-    A subset of edges is invariant when the matrix maps values supported on
-    it back into it.  The finest blocks are the classes of
-    :func:`edge_classes`, in its order, so the full matrix is block
-    triangular with the returned blocks on the diagonal: the characteristic
-    polynomial factors over the blocks and the spectrum is the union of the
-    block spectra.  An irreducible map comes back as a single block.
-    """
-    g = a.graph
-    out = []
-    for block in edge_classes(a.matrix):
-        ids = frozenset(g.edges[i].id for i in block)
-        sub = Subgraph(g, ids).induced_graph()
-        out.append((ids, GEndomorphism(sub, a.matrix[np.ix_(block, block)])))
-    return out
-
-
 class CharFunction:
     """Secular function ``lambda -> P_A(exp(i lambda l_e))`` of an edge map.
 
@@ -301,15 +245,9 @@ def char_function(a: GEndomorphism, lengths=None, cap: int = DEFAULT_EDGE_CAP) -
 
 
 def specialize_univariate(poly: MultiPoly, multipliers) -> np.ndarray:
-    """Coefficients of ``P(z^{m_1}, .., z^{m_n})``, lowest degree first.
-
-    ``multipliers`` is either a sequence of nonnegative integers in edge
-    order or a mapping from edge id to integer.
-    """
-    if isinstance(multipliers, dict):
-        mult = [int(multipliers[eid]) for eid in poly.edge_ids]
-    else:
-        mult = [int(m) for m in multipliers]
+    """Coefficients of ``P(z^{m_1}, .., z^{m_n})``, lowest degree first, for
+    nonnegative integers ``multipliers`` in edge order."""
+    mult = [int(m) for m in multipliers]
     if len(mult) != poly.n_vars:
         raise ValueError("need one multiplier per variable")
     if any(m < 0 for m in mult):
@@ -338,13 +276,16 @@ def detect_commensurable(lengths) -> tuple[list[int], float] | None:
     lengths = np.asarray(lengths, dtype=float)
     if not lengths.size or np.any(lengths <= 0):
         return None
-    ratio = lengths / lengths[0]
+    with np.errstate(over="ignore"):
+        ratio = lengths / lengths[0]
+        # |r q - p| / q without rounding r q: r splits into 43 and 10
+        # significant bits (Dekker, Numer. Math. 18 (1971)), whose products
+        # with q are exact
+        split = ratio * 1025.0
+    if not np.all(np.isfinite(split)):
+        return None  # r q leaves the float range: no p / q matches
     q = np.arange(1.0, MAX_DENOMINATOR + 1)
     p = np.rint(np.multiply.outer(ratio, q))
-    # |r q - p| / q without rounding r q: r splits into 43 and 10
-    # significant bits (Dekker, Numer. Math. 18 (1971)), whose products
-    # with q are exact
-    split = ratio * 1025.0
     high = split - (split - ratio)
     miss = np.multiply.outer(high, q) - p
     miss += np.multiply.outer(ratio - high, q)

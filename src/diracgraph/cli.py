@@ -20,13 +20,11 @@ import numpy as np
 from . import __version__
 from .adjacency import (
     CoefficientProfile,
-    build_adjacency,
     charpoly_via_collections,
     edge_connectivity,
     topology_from_coefficients,
 )
 from .boundary import (
-    adjoint_condition,
     endomorphism_from_subspace,
     graph_of,
     index as boundary_index,
@@ -58,6 +56,7 @@ from .jsonio import (
     topology_to_json,
 )
 from .spectrum import (
+    MAX_FAMILY_MEMBERS,
     Window,
     commensurable,
     spectrum_complex,
@@ -244,13 +243,20 @@ def cmd_charpoly(args) -> int:
         _emit(payload, args.format, lines)
         return EXIT_OK
 
-    commensurable = detect_commensurable(g.lengths())
-    if commensurable is None:
+    found = detect_commensurable(g.lengths())
+    if found is None:
         raise DiracGraphError(
             "edge lengths are not commensurable; a univariate specialization "
             "does not exist, use --multivariate"
         )
-    mult, delta = commensurable
+    mult, delta = found
+    # the coefficient list is as long as the degree, bounded as real
+    # windows bound the eigenvalues they list
+    if sum(mult) > MAX_FAMILY_MEMBERS:
+        raise DiracGraphError(
+            f"edge lengths give a univariate degree above {MAX_FAMILY_MEMBERS}; "
+            "use --multivariate"
+        )
     coeffs = specialize_univariate(poly, mult)
     if np.allclose(coeffs.imag, 0, atol=1e-9) and np.allclose(
         coeffs.real, np.round(coeffs.real), atol=1e-9
@@ -328,7 +334,7 @@ def cmd_topology(args) -> int:
     g = _load_valid_graph(args.graph)
     profile = CoefficientProfile.from_graph(g, cap=args.cap)
     try:
-        report = topology_from_coefficients(profile, edge_connectivity(g, "undirected"))
+        report = topology_from_coefficients(profile, edge_connectivity(g))
     except DiracGraphError:
         _warn("graph has no cycles; girth undefined")
         raise
@@ -454,9 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-permutation", default=None, metavar="FILE",
                    help="permutation or decomposition JSON file")
     p.add_argument("--spectrum", action="store_true",
-                   help="spectrum of the given permutation: the closed form "
-                        "2 pi k / L per trail, each trail certified by rank "
-                        "on its own and coinciding trails merged")
+                   help="spectrum of the given permutation by the eigenphase "
+                        "locator: the closed form 2 pi k / L per trail, each "
+                        "trail certified by rank on its own and coinciding "
+                        "trails merged")
     p.add_argument("--window", nargs=2, type=float, default=(-10.0, 10.0),
                    metavar=("A", "B"))
     p.set_defaults(func=cmd_trails)

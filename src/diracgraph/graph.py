@@ -9,6 +9,7 @@ run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,12 +99,6 @@ class MetricGraph:
     def __repr__(self) -> str:  # pragma: no cover
         return f"MetricGraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
-    def require_valid(self) -> None:
-        """Raise ``ValueError`` listing all structural violations, if any."""
-        problems = validate(self)
-        if problems:
-            raise ValueError("; ".join(problems))
-
 
 def graph_from_edges(
     edge_specs: Sequence[tuple], vertices: Sequence[str] | None = None
@@ -134,7 +129,7 @@ def validate(g: MetricGraph) -> list[str]:
     """Collect structural violations; an empty list means the graph is valid.
 
     Checked: every edge endpoint names a known vertex, every length is
-    strictly positive, and no vertex is isolated.
+    finite and strictly positive, and no vertex is isolated.
     """
     problems = []
     known = set(g.vertices)
@@ -147,6 +142,8 @@ def validate(g: MetricGraph) -> list[str]:
                 incident.add(endpoint)
         if not e.length > 0:
             problems.append(f"edge {e.id!r}: nonpositive length {e.length}")
+        elif e.length == math.inf:
+            problems.append(f"edge {e.id!r}: infinite length")
     for v in g.vertices:
         if v not in incident:
             problems.append(f"vertex {v!r} is isolated")
@@ -176,17 +173,10 @@ def is_eulerian_components(g: MetricGraph) -> bool:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """Edge subset of a parent graph; its vertices are those of :meth:`induced_graph`."""
+    """Edge subset of a parent graph."""
 
     parent: MetricGraph
     edge_ids: frozenset[str]
-
-    def induced_graph(self) -> MetricGraph:
-        """Standalone graph on this edge subset, preserving parent order."""
-        edges = [e for e in self.parent.edges if e.id in self.edge_ids]
-        verts = {e.tail for e in edges} | {e.head for e in edges}
-        vertices = [v for v in self.parent.vertices if v in verts]
-        return MetricGraph(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -297,14 +287,6 @@ def enumerate_cycle_collections(
 
     extend(0, frozenset())
     return out
-
-
-def girth_bruteforce(g: MetricGraph, cap: int = DEFAULT_EDGE_CAP) -> int | None:
-    """Length (edge count) of a shortest cycle, or ``None`` if none exists."""
-    cycles = enumerate_cycles(g, cap)
-    if not cycles:
-        return None
-    return min(c.edge_count for c in cycles)
 
 
 def subdivide_edge(

@@ -8,6 +8,7 @@ univariate polynomial coefficients are listed lowest degree first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,18 @@ from .spectrum import SpectrumReport
 from .trails import GPermutation, TrailDecomposition
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite number; JSON's ``true`` is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _complex_pair(value) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_finite, value)):
         raise InputFormatError(f"expected [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
@@ -73,8 +80,8 @@ def parse_graph(data) -> MetricGraph:
                     f"edge {eid!r} references unknown vertex {endpoint!r}"
                 )
         length = item.get("length", 1.0)
-        if not isinstance(length, (int, float)):
-            raise InputFormatError(f"edge {eid!r} has non-numeric length")
+        if not _finite(length):
+            raise InputFormatError(f"edge {eid!r} has a length that is not a finite number")
         edges.append(Edge(eid, tail, head, float(length)))
     return MetricGraph(vertex_ids, edges)
 
@@ -159,7 +166,14 @@ def parse_boundary(data, g: MetricGraph) -> BoundaryInput:
             pairs = np.array(matrix_raw)
         except ValueError:  # ragged nesting
             pairs = np.empty(0)
-        if pairs.dtype.kind in "biuf" and pairs.shape == (n, n, 2):
+        # numpy reads true as 1 beside numbers: the entries are checked for
+        # bools themselves
+        if (
+            pairs.dtype.kind in "iuf"
+            and pairs.shape == (n, n, 2)
+            and np.isfinite(pairs).all()
+            and not any(type(x) is bool for row in matrix_raw for pair in row for x in pair)
+        ):
             matrix = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
         else:
             for row in matrix_raw:
@@ -215,22 +229,6 @@ def multipoly_to_json(p: MultiPoly) -> dict:
     ):
         terms.append({"edges": sorted(ids), "coeff": _pair(c)})
     return {"terms": terms}
-
-
-def parse_multipoly(data, edge_ids) -> MultiPoly:
-    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-        raise InputFormatError("polynomial document needs a 'terms' list")
-    mapping = {}
-    known = set(edge_ids)
-    for item in data["terms"]:
-        if not isinstance(item, dict):
-            raise InputFormatError("each term must be an object")
-        edges = item.get("edges")
-        if not isinstance(edges, list) or not set(map(str, edges)) <= known:
-            raise InputFormatError(f"term names unknown edges: {edges!r}")
-        key = frozenset(map(str, edges))
-        mapping[key] = mapping.get(key, 0.0) + _complex_pair(item.get("coeff"))
-    return MultiPoly.from_edge_sets(tuple(edge_ids), mapping)
 
 
 def profile_to_json(profile: CoefficientProfile) -> dict:

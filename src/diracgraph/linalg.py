@@ -75,16 +75,6 @@ def spans_equal(a: np.ndarray, b: np.ndarray, rtol: float = SUBSPACE_TOL) -> boo
     return numeric_rank(stacked, rtol) == ra
 
 
-def span_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm distance between the orthogonal projectors onto two spans."""
-    qa = orthonormal_columns(a)
-    qb = orthonormal_columns(b)
-    n = a.shape[0]
-    pa = qa @ qa.conj().T if qa.size else np.zeros((n, n), dtype=complex)
-    pb = qb @ qb.conj().T if qb.size else np.zeros((n, n), dtype=complex)
-    return float(np.linalg.norm(pa - pb, 2))
-
-
 def intersection_dim(a: np.ndarray, b: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Dimension of the intersection of two column spans."""
     qa = orthonormal_columns(a, rtol)

@@ -35,10 +35,10 @@ with exact zeros between its blocks, so ``T(lambda)`` is too and its kernel
 is the direct sum of the block kernels: each block's candidates are
 certified on its own ``T_b``, and entries of different blocks within
 ``DEDUPE_RADIUS`` are merged into one, their multiplicities added and their
-eigenfunctions joined (:func:`_certified_blocks`).  The locator's blocks and
-the trails of an edge permutation (``trails.permutation_spectrum``, by the
-same cycle rule) both end there.  Multiplicities never come from root
-clustering, and the kernel vectors double as eigenfunction amplitudes.
+eigenfunctions joined (:func:`_certified_blocks`).  The locator's blocks
+end there, and so do the trails of an edge permutation, which
+``trails.permutation_spectrum`` hands to the locator.  Multiplicities never
+come from root clustering, and the kernel vectors double as eigenfunction amplitudes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boundary import BoundarySubspace, GEndomorphism, is_unitary
+from .boundary import GEndomorphism, is_unitary
 # Not called here: perfbench/spans.py wraps spectrum.char_function when it traces.
 from .charpoly import char_function  # noqa: F401
 from .charpoly import detect_commensurable, edge_classes
@@ -218,40 +218,6 @@ def _multiplicities(matrix, lengths, lams):
     return out
 
 
-def _guarded_newton(value, deriv, z0):
-    """Newton iteration that never lets the target magnitude increase.
-
-    Inside the evaluation-noise basin of a zero the computed value is junk
-    and a raw step of ``f/f'`` can be enormous; backtracking rejects
-    such steps so the iterate parks at the best point reached.  At most 80
-    steps, each halved at most 10 times; the iteration stops at a rejected
-    step, a step below ``1e-14`` relative, or a zero or non-finite
-    derivative.
-    """
-    # numpy scalars, not complex: Python rounds complex division differently
-    z = np.complex128(z0)
-    # trial steps may land where the exponentials overflow; the guard
-    # rejects non-finite values, so the numpy warnings are just noise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fz = np.complex128(value(z))
-        for _ in range(80 if np.isfinite(np.abs(fz)) else 0):
-            dp = np.complex128(deriv(z))
-            step = fz / dp
-            if dp == 0 or not np.isfinite(step):
-                break
-            for _damp in range(10):
-                fc = np.complex128(value(z - step))
-                if np.abs(fc) <= np.abs(fz):  # False for NaN
-                    z, fz = z - step, fc
-                    break
-                step /= 2
-            else:
-                break
-            if np.abs(step) <= 1e-14 * (1.0 + np.abs(z)):
-                break
-    return complex(z)
-
-
 def _polish(matrix, lengths, z0: complex, mult: int = 1) -> complex:
     """Guarded Newton on ``det T`` with the step ``mult det T / (det T)'``,
     quadratic at a zero of multiplicity ``mult``.
@@ -260,9 +226,17 @@ def _polish(matrix, lengths, z0: complex, mult: int = 1) -> complex:
     from the SVD ``T = U S V*`` as ``det(U) det(V*) V adj(S) U*``, where
     ``adj(S)_ii`` is the product of the other singular values: it stays
     finite where ``T`` is exactly singular (Guettel & Tisseur, Acta Numerica
-    26 (2017), section 4).
+    26 (2017), section 4).  Inside the evaluation-noise basin of a zero the
+    computed ``det T`` is junk and a raw step can be enormous, so a step
+    that does not decrease ``|det T|`` is halved, at most 10 times, and the
+    iterate parks at the best point reached.  At most 80 steps; the
+    iteration stops at a rejected step, a step below ``1e-14`` relative, or
+    a zero or non-finite derivative.
     """
     others = ~np.eye(lengths.size, dtype=bool)
+
+    def det(z):
+        return np.complex128(np.linalg.det(_t_matrices(matrix, lengths, z)[0]))
 
     def deriv(z):
         # a stack of one: einsum sums in an order set by the operand shapes,
@@ -272,9 +246,30 @@ def _polish(matrix, lengths, z0: complex, mult: int = 1) -> complex:
         adj_s = np.prod(np.where(others, s[..., None, :], 1.0), axis=-1)
         adj = np.einsum("...ie,...i,...ei->...e", vh.conj(), adj_s, u.conj())
         adj *= (np.linalg.det(u) * np.linalg.det(vh))[..., None]
-        return np.sum(1j * lengths * phases * adj, axis=-1)[0] / mult
+        return np.complex128(np.sum(1j * lengths * phases * adj, axis=-1)[0] / mult)
 
-    return _guarded_newton(lambda z: np.linalg.det(_t_matrices(matrix, lengths, z)[0]), deriv, z0)
+    # numpy scalars, not complex: Python rounds complex division differently
+    z = np.complex128(z0)
+    # trial steps may land where the exponentials overflow; the guard
+    # rejects non-finite values, so the numpy warnings are just noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fz = det(z)
+        for _ in range(80 if np.isfinite(np.abs(fz)) else 0):
+            dp = deriv(z)
+            step = fz / dp
+            if dp == 0 or not np.isfinite(step):
+                break
+            for _damp in range(10):
+                fc = det(z - step)
+                if np.abs(fc) <= np.abs(fz):  # False for NaN
+                    z, fz = z - step, fc
+                    break
+                step /= 2
+            else:
+                break
+            if np.abs(step) <= 1e-14 * (1.0 + np.abs(z)):
+                break
+    return complex(z)
 
 
 def _tree_groups(points, link) -> list[tuple[complex, list[complex]]]:
@@ -550,10 +545,7 @@ def spectrum_exact_commensurable(
     window = as_window(window)
     if delta <= 0:
         raise ValueError("base length must be positive")
-    if isinstance(multipliers, dict):
-        mult = [int(multipliers[e.id]) for e in a.graph.edges]
-    else:
-        mult = [int(m) for m in multipliers]
+    mult = [int(m) for m in multipliers]
     if any(m <= 0 for m in mult):
         raise ValueError("multipliers must be positive integers")
     if sum(mult) > MAX_EXACT_DEGREE:
@@ -1051,27 +1043,3 @@ def spectrum_complex(
     )
     _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("contour", window, entries, tuple(warnings), winding=winding)
-
-
-# -- boundary conditions beyond graphs of edge maps ----------------------
-
-
-def eigenfunction_residual(b: BoundarySubspace, f: Eigenfunction, lengths=None) -> float:
-    """Distance of an eigenfunction's trace from the boundary subspace.
-
-    The trace has the amplitude at each edge start and the amplitude damped
-    by ``exp(-i lambda l_e)`` at each edge end; the residual is the norm of
-    its component orthogonal to ``b``, normalized by the amplitude norm.
-    """
-    space = b.space
-    if lengths is None:
-        lengths = space.graph.lengths()
-    lengths = np.asarray(lengths, dtype=float)
-    w = np.asarray(f.amplitudes, dtype=complex)
-    norm = np.linalg.norm(w)
-    if norm == 0:
-        raise ValueError("zero amplitude vector is not an eigenfunction")
-    trace = space.embed_start(w) + space.embed_end(w * np.exp(-1j * f.eigenvalue * lengths))
-    q = b.orthonormal_basis()
-    resid = trace - q @ (q.conj().T @ trace) if q.size else trace
-    return float(np.linalg.norm(resid) / norm)

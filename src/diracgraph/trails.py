@@ -6,13 +6,15 @@ edge set, and conversely every partition of the edges into closed trails
 defines such a permutation.  The associated boundary condition has a fully
 explicit spectrum: a trail of metric length ``L`` contributes the arithmetic
 progression ``2 pi k / L``, and multiplicities count the trails whose
-progressions meet.
+progressions meet.  The permutation map is unitary and its edge classes are
+the trails, so the eigenphase locator, which proposes the progression of
+each one-entry-per-row block directly, lists that spectrum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations as _permutations
 
 import numpy as np
@@ -20,8 +22,7 @@ import numpy as np
 from .boundary import GEndomorphism
 from .errors import EnumerationCapExceeded
 from .graph import MetricGraph
-from .spectrum import RESIDUAL_TOL, SpectrumReport, as_window, _certified_blocks
-from .spectrum import _cycle_candidates, _real_window
+from .spectrum import SpectrumReport, spectrum_numeric
 
 ENUMERATION_GUARD = 10**6
 
@@ -135,16 +136,14 @@ def decomposition_to_permutation(d: TrailDecomposition) -> GPermutation:
     return GPermutation(g, mapping)
 
 
-def enumerate_g_permutations(
-    g: MetricGraph, guard: int = ENUMERATION_GUARD
-) -> list[GPermutation]:
+def enumerate_g_permutations(g: MetricGraph) -> list[GPermutation]:
     """All vertex-compatible edge permutations, in a deterministic order.
 
     At each vertex the arriving edges are matched bijectively to the leaving
     edges, so permutations exist exactly when in and out degrees balance
     everywhere, and their number is the product of the degree factorials.
-    Counts beyond ``guard`` raise instead of enumerating; sample per-vertex
-    matchings yourself if you need a few large cases.
+    Counts beyond ``ENUMERATION_GUARD`` raise instead of enumerating; sample
+    per-vertex matchings yourself if you need a few large cases.
     """
     per_vertex: list[tuple[list[str], list[str]]] = []
     count = 1
@@ -155,9 +154,9 @@ def enumerate_g_permutations(
             return []
         per_vertex.append((ins, outs))
         count *= math.factorial(len(ins))
-    if count > guard:
+    if count > ENUMERATION_GUARD:
         raise EnumerationCapExceeded(
-            f"{count} edge permutations exceed the guard of {guard}"
+            f"{count} edge permutations exceed the guard of {ENUMERATION_GUARD}"
         )
 
     results: list[GPermutation] = []
@@ -178,44 +177,21 @@ def enumerate_g_permutations(
     return results
 
 
-def loop_count_via_trace(p: GPermutation) -> int:
-    """Number of fixed points, read off the trace of the permutation matrix.
-
-    A fixed edge closes on itself, so this is the number of single-edge
-    trails, which for a vertex-compatible permutation are exactly loops.
-    """
-    return int(round(np.trace(p.to_endomorphism().matrix).real))
-
-
 def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) -> SpectrumReport:
     """Closed-form spectrum of the boundary condition of an edge permutation.
 
-    Each trail is one cyclic block of the permutation map, and a trail of
-    metric length ``L_j`` contributes the eigenvalues ``2 pi k / L_j``: the
-    eigenphase locator's rule for a weighted cycle, here of holonomy 1
-    (:func:`spectrum._cycle_candidates`).  These only propose: every
-    block's candidates, hinted simple, go through the shared step of the
-    real axis (:func:`spectrum._certified_blocks`), which certifies them by
-    the rank of the trail's own ``T_b(lambda)`` and merges the entries of
-    trails that meet within ``DEDUPE_RADIUS``, adding their
-    multiplicities.  Zero is an eigenvalue of every trail, so its
-    multiplicity is the trail count.  Eigenfunctions are supported on one
-    trail each.  A window expected to hold more than ``MAX_EXPECTED_ROOTS``
-    eigenvalues, ``width sum(l) / 2 pi``, is refused with
-    :class:`WindowTooLargeError` before any is listed.
+    The permutation map is unitary and its edge classes are the trails, each
+    a cyclic block with one entry per row, so the eigenphase locator
+    (:func:`spectrum.spectrum_numeric`) proposes the eigenvalues ``2 pi k /
+    L_j`` of a trail of length ``L_j`` in closed form and searches for none.
+    Each is certified by the rank of its trail's own ``T_b(lambda)``, and
+    trails whose eigenvalues meet within ``DEDUPE_RADIUS`` add up their
+    multiplicities: zero has the trail count.  Eigenfunctions are supported
+    on one trail each.  The report carries the locator's ``winding``, read
+    off the phase sums at the window ends, and windows are refused by the
+    locator's rule.  The solver is reported as ``"closed-form"``.
     """
-    g = p.graph
-    window = as_window(window)
-    lengths = np.asarray(g.lengths() if lengths is None else lengths, dtype=float)
-    lo, hi = _real_window(window, lengths)
-    matrix = p.to_endomorphism().matrix
-    blocks = []
-    for trail in permutation_to_decomposition(p).trails:
-        idx = np.array([g.edge_index(eid) for eid in trail])
-        blocks.append((idx, _cycle_candidates(matrix[np.ix_(idx, idx)], lengths[idx], lo, hi)))
-    warnings: list[str] = []
-    entries = _certified_blocks(matrix, lengths, window, blocks, RESIDUAL_TOL, warnings)
-    return SpectrumReport("closed-form", window, entries, tuple(warnings))
+    return replace(spectrum_numeric(p.to_endomorphism(), lengths, window), solver="closed-form")
 
 
 def longest_trail_from_spectrum(report: SpectrumReport) -> tuple[float, int]:

@@ -8,7 +8,11 @@ eigenphase count of plain ``eigvals``, eigenvalue multiplicities from
 the boundary subspace instead of the edge map, the eigenvalues of weighted
 cycles by following each one around, the distinct roots of an
 integer polynomial and the commensurability of lengths by exact rational
-arithmetic.
+arithmetic.  The last helpers are library-style forms of the paper's
+constructions that only tests use: the girth by cycle enumeration, the
+splitting of an edge map into invariant blocks, the residual of an
+eigenfunction against a boundary subspace, the substitution of 1 for one
+polynomial variable, and the distance of two spans.
 """
 
 import cmath
@@ -18,9 +22,15 @@ from itertools import combinations
 
 import numpy as np
 
-from diracgraph.charpoly import MAX_DENOMINATOR
-from diracgraph.graph import DEFAULT_EDGE_CAP, enumerate_cycle_collections
-from diracgraph.linalg import intersection_dim
+from diracgraph.boundary import GEndomorphism
+from diracgraph.charpoly import MAX_DENOMINATOR, MultiPoly, edge_classes
+from diracgraph.graph import (
+    DEFAULT_EDGE_CAP,
+    MetricGraph,
+    enumerate_cycle_collections,
+    enumerate_cycles,
+)
+from diracgraph.linalg import intersection_dim, orthonormal_columns
 from diracgraph.spectrum import DEDUPE_RADIUS, RANK_RTOL
 
 
@@ -54,13 +64,12 @@ def adjacency_char_function(g, lam: complex, cap: int = DEFAULT_EDGE_CAP) -> com
     return complex(acc)
 
 
-def edge_connectivity_bruteforce(g, mode: str = "directed") -> int:
-    """Least number of edge removals that disconnect the graph, by trying all subsets.
+def edge_connectivity_bruteforce(g) -> int:
+    """Least number of edge removals that leave the underlying undirected
+    graph disconnected, by trying all subsets.
 
-    ``mode="directed"`` requires strong connectivity of what remains,
-    ``mode="undirected"`` only connectivity of the underlying undirected
-    graph; a vertex left without any incident edge counts as disconnecting
-    in both modes.  Exponential in the edge count.
+    A vertex left without any incident edge counts as disconnecting.
+    Exponential in the edge count.
     """
 
     def connected(remaining: list[int]) -> bool:
@@ -77,33 +86,17 @@ def edge_connectivity_bruteforce(g, mode: str = "directed") -> int:
         if len(g.vertices) == 1:
             return True
         vset = list(g.vertices)
-        if mode == "undirected":
-            seen = {vset[0]}
-            stack = [vset[0]]
-            while stack:
-                v = stack.pop()
-                for i in incident[v]:
-                    e = g.edges[i]
-                    for w in (e.tail, e.head):
-                        if w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-            return len(seen) == len(vset)
-        # Strong connectivity: forward and backward reachability from one vertex.
-        for direction in ("fwd", "bwd"):
-            seen = {vset[0]}
-            stack = [vset[0]]
-            while stack:
-                v = stack.pop()
-                for i in remaining:
-                    e = g.edges[i]
-                    src, dst = (e.tail, e.head) if direction == "fwd" else (e.head, e.tail)
-                    if src == v and dst not in seen:
-                        seen.add(dst)
-                        stack.append(dst)
-            if len(seen) != len(vset):
-                return False
-        return True
+        seen = {vset[0]}
+        stack = [vset[0]]
+        while stack:
+            v = stack.pop()
+            for i in incident[v]:
+                e = g.edges[i]
+                for w in (e.tail, e.head):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return len(seen) == len(vset)
 
     all_edges = list(range(g.n_edges))
     for k in range(g.n_edges + 1):
@@ -255,3 +248,80 @@ def commensurable_by_fractions(lengths):
     if any(abs(m * delta - x) > 1e-9 * x for m, x in zip(mult, lengths)):
         return None
     return mult, delta
+
+
+def girth_bruteforce(g, cap: int = DEFAULT_EDGE_CAP) -> int | None:
+    """Length (edge count) of a shortest cycle, or ``None`` if none exists."""
+    cycles = enumerate_cycles(g, cap)
+    if not cycles:
+        return None
+    return min(c.edge_count for c in cycles)
+
+
+def induced_graph(g, edge_ids) -> MetricGraph:
+    """Standalone graph on an edge subset of ``g``, preserving its order."""
+    edges = [e for e in g.edges if e.id in edge_ids]
+    verts = {e.tail for e in edges} | {e.head for e in edges}
+    return MetricGraph([v for v in g.vertices if v in verts], edges)
+
+
+def split_reducible(a) -> list[tuple[frozenset[str], GEndomorphism]]:
+    """Finest splitting of the edge set into invariant blocks.
+
+    A subset of edges is invariant when the matrix maps values supported on
+    it back into it.  The finest blocks are the classes of ``edge_classes``,
+    in its order, so the full matrix is block triangular with the returned
+    blocks on the diagonal: the characteristic polynomial factors over the
+    blocks and the spectrum is the union of the block spectra.  An
+    irreducible map comes back as a single block.
+    """
+    g = a.graph
+    out = []
+    for block in edge_classes(a.matrix):
+        ids = frozenset(g.edges[i].id for i in block)
+        sub = induced_graph(g, ids)
+        out.append((ids, GEndomorphism(sub, a.matrix[np.ix_(block, block)])))
+    return out
+
+
+def eigenfunction_residual(b, f, lengths=None) -> float:
+    """Distance of an eigenfunction's trace from the boundary subspace.
+
+    The trace has the amplitude at each edge start and the amplitude damped
+    by ``exp(-i lambda l_e)`` at each edge end; the residual is the norm of
+    its component orthogonal to ``b``, normalized by the amplitude norm.
+    """
+    space = b.space
+    if lengths is None:
+        lengths = space.graph.lengths()
+    lengths = np.asarray(lengths, dtype=float)
+    w = np.asarray(f.amplitudes, dtype=complex)
+    norm = np.linalg.norm(w)
+    if norm == 0:
+        raise ValueError("zero amplitude vector is not an eigenfunction")
+    trace = space.embed_start(w) + space.embed_end(w * np.exp(-1j * f.eigenvalue * lengths))
+    q = b.orthonormal_basis()
+    resid = trace - q @ (q.conj().T @ trace) if q.size else trace
+    return float(np.linalg.norm(resid) / norm)
+
+
+def substitute_one(poly, edge_id: str):
+    """``poly`` with the variable of one edge set to 1 and dropped from the
+    variable list."""
+    pos = poly.edge_ids.index(edge_id)
+    low = (1 << pos) - 1
+    terms: dict[int, complex] = {}
+    for mask, c in poly.terms.items():
+        new = (mask & low) | ((mask >> (pos + 1)) << pos)
+        terms[new] = terms.get(new, 0.0) + c
+    return MultiPoly(poly.edge_ids[:pos] + poly.edge_ids[pos + 1 :], terms)
+
+
+def span_distance(a, b) -> float:
+    """Spectral norm distance between the orthogonal projectors onto two spans."""
+    qa = orthonormal_columns(a)
+    qb = orthonormal_columns(b)
+    n = a.shape[0]
+    pa = qa @ qa.conj().T if qa.size else np.zeros((n, n), dtype=complex)
+    pb = qb @ qb.conj().T if qb.size else np.zeros((n, n), dtype=complex)
+    return float(np.linalg.norm(pa - pb, 2))

@@ -10,7 +10,6 @@ from diracgraph import (
     CoefficientProfile,
     GEndomorphism,
     MultiPoly,
-    adjacency_nonsingular,
     bidirected_triangle,
     build_adjacency,
     char_poly,
@@ -27,7 +26,7 @@ from diracgraph import (
 )
 from diracgraph.errors import DiracGraphError, EnumerationCapExceeded
 from diracgraph.randgen import random_eulerian_graph, random_graph
-from oracles import adjacency_char_function, edge_connectivity_bruteforce
+from oracles import adjacency_char_function, edge_connectivity_bruteforce, substitute_one
 
 
 def brute_cycle_counts(g):
@@ -63,10 +62,20 @@ def test_adjacency_rose_is_all_ones():
 # -- invertibility --------------------------------------------------------
 
 
+def adjacency_det(g) -> float:
+    return np.linalg.det(build_adjacency(g).matrix).real
+
+
+def cycle_sign(g) -> int:
+    """``(-1)^(cycles - edges)``, the determinant of the adjacency map of a
+    union of disjoint cycles."""
+    return (-1) ** (len(enumerate_cycles(g)) - g.n_edges)
+
+
 def test_nonsingular_single_cycles():
-    assert adjacency_nonsingular(directed_cycle(3)) == (True, 1)
-    assert adjacency_nonsingular(directed_cycle(2)) == (True, -1)
-    assert adjacency_nonsingular(rose(1)) == (True, 1)
+    for g in (directed_cycle(3), directed_cycle(2), rose(1)):
+        assert adjacency_det(g) == pytest.approx(cycle_sign(g))
+    assert cycle_sign(directed_cycle(2)) == -1
 
 
 def test_nonsingular_disjoint_cycles():
@@ -78,12 +87,13 @@ def test_nonsingular_disjoint_cycles():
             ("e4", "v4", "v3"),
         ]
     )
-    assert adjacency_nonsingular(g) == (True, 1)
+    assert adjacency_det(g) == pytest.approx(cycle_sign(g))
+    assert cycle_sign(g) == 1
 
 
 def test_singular_for_higher_degrees():
-    assert adjacency_nonsingular(looped_dumbbell()) == (False, None)
-    assert adjacency_nonsingular(rose(2)) == (False, None)
+    assert adjacency_det(looped_dumbbell()) == pytest.approx(0, abs=1e-12)
+    assert adjacency_det(rose(2)) == pytest.approx(0, abs=1e-12)
 
 
 # -- collection expansion of the characteristic polynomial ----------------
@@ -149,7 +159,7 @@ def test_subdivision_halves_always_travel_together():
         assert ("e23.a" in ids) == ("e23.b" in ids)
     collapsed = {
         frozenset("e23" if i == "e23.b" else i for i in ids): c
-        for ids, c in poly.substitute_one("e23.a").term_edge_sets().items()
+        for ids, c in substitute_one(poly, "e23.a").term_edge_sets().items()
     }
     assert collapsed == charpoly_via_collections(g).term_edge_sets()
 
@@ -253,21 +263,13 @@ def test_topology_against_brute_force_on_random_graphs():
 
 
 def test_connectivity_of_cycles():
-    assert edge_connectivity(directed_cycle(3), "directed") == 1
-    assert edge_connectivity(directed_cycle(3), "undirected") == 2
-    assert edge_connectivity(directed_cycle(2), "directed") == 1
-    assert edge_connectivity(directed_cycle(2), "undirected") == 2
-    assert edge_connectivity(rose(1), "directed") == 1
+    assert edge_connectivity(directed_cycle(3)) == 2
+    assert edge_connectivity(directed_cycle(2)) == 2
+    assert edge_connectivity(rose(1)) == 1
 
 
 def test_connectivity_of_bidirected_triangle():
-    assert edge_connectivity(bidirected_triangle(), "directed") == 2
-    assert edge_connectivity(bidirected_triangle(), "undirected") == 4
-
-
-def test_connectivity_guards():
-    with pytest.raises(ValueError):
-        edge_connectivity(rose(1), mode="sideways")
+    assert edge_connectivity(bidirected_triangle()) == 4
 
 
 def bidirected_cycle(k):
@@ -281,8 +283,7 @@ def test_connectivity_of_forty_edge_bidirected_cycle():
     # Far beyond a subset search: 2^40 removal sets.
     g = bidirected_cycle(20)
     assert g.n_edges == 40
-    assert edge_connectivity(g, "directed") == 2
-    assert edge_connectivity(g, "undirected") == 4
+    assert edge_connectivity(g) == 4
 
 
 def test_connectivity_matches_brute_force():
@@ -299,8 +300,6 @@ def test_connectivity_matches_brute_force():
     assert sum(len(g.vertices) == 1 for g in graphs) >= 60
     assert any(e.tail == e.head for g in graphs for e in g.edges if len(g.vertices) > 1)
     for g in graphs:
-        for mode in ("directed", "undirected"):
-            assert edge_connectivity(g, mode) == edge_connectivity_bruteforce(g, mode), (
-                mode,
-                [(e.tail, e.head) for e in g.edges],
-            )
+        assert edge_connectivity(g) == edge_connectivity_bruteforce(g), [
+            (e.tail, e.head) for e in g.edges
+        ]

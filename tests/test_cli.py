@@ -487,6 +487,18 @@ def test_charpoly_adjacency_univariate(tmp_path, capsys):
     assert payload == {"base_length": 1.0, "coeffs_low_to_high": [0, -2, 1]}
 
 
+@pytest.mark.parametrize("lengths", [(1.0, 1e308), (1.0, 600001.0)])
+def test_charpoly_refuses_univariate_degrees_past_the_listing_bound(tmp_path, capsys, lengths):
+    # sum m_e coefficients would be listed: 600002, or an allocation of
+    # about 1e308 that numpy refuses
+    g = graph_from_edges([("a", "v", "v", lengths[0]), ("b", "v", "v", lengths[1])])
+    gp = write_graph(tmp_path, g)
+    rc, out, err = run(capsys, ["charpoly", gp, "--adjacency"])
+    assert rc == EXIT_REFUSAL and out == "" and "--multivariate" in err
+    rc, payload, _ = run_json(capsys, ["charpoly", gp, "--adjacency", "--multivariate"])
+    assert rc == EXIT_OK and len(payload["terms"]) == 3
+
+
 def test_charpoly_multivariate(tmp_path, capsys):
     gp = write_graph(tmp_path, rose(2))
     rc, payload, _ = run_json(
@@ -566,6 +578,7 @@ def test_trails_spectrum_from_decomposition_file(tmp_path, capsys):
     assert payload["solver"] == "closed-form"
     assert payload["trails"] == [["e1", "e2", "e3"]]
     assert payload["longest_trail"] == {"length": pytest.approx(3.0), "count": 1}
+    assert payload["winding"] == 4
     res = [(e["re"], e["mult"]) for e in payload["eigenvalues"]]
     expected = [0.0, 2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi]
     assert [r[0] for r in res] == pytest.approx(expected, abs=1e-12)
@@ -607,6 +620,15 @@ def test_trails_spectrum_refuses_windows_past_the_locator_bound(tmp_path, capsys
     perm = write_json(tmp_path, "perm.json", {"map": {"a": "b", "b": "a"}})
     width = 2e5 * 2 * math.pi / (1 + math.sqrt(2))
     argv = ["trails", gp, "--from-permutation", perm, "--spectrum", "--window", "0", str(width)]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_REFUSAL and out == "" and "split it into smaller pieces" in err
+    # commensurable lengths: one period is located, and a window listing
+    # more than 5e5 eigenvalues is refused as on spectrum
+    gp = write_graph(tmp_path, rose(2))
+    perm = write_json(tmp_path, "perm.json", {"map": {"e1": "e2", "e2": "e1"}})
+    argv = ["trails", gp, "--from-permutation", perm, "--spectrum", "--window", "0", "2e6"]
     start = time.perf_counter()
     rc, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1.0
@@ -774,6 +796,56 @@ def test_malformed_boundary_is_bad_input(tmp_path, capsys):
     rc, _, err = run(capsys, ["index", gp, "--bc", bc])
     assert rc == EXIT_BAD_INPUT
     assert "input error" in err
+
+
+LOOPS_TEXT = (
+    '{"vertices": ["v"], "edges": [{"id": "a", "tail": "v", "head": "v", "length": 1},'
+    ' {"id": "b", "tail": "v", "head": "v", "length": %s}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "length",
+    ["Infinity", "-Infinity", "NaN", "1e400", "true", pytest.param("1" * 400, id="huge-integer")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["charpoly", "--adjacency"],
+        ["spectrum", "--bc", "adjacency"],
+        ["spectrum", "--bc", "permutation"],
+    ],
+)
+def test_lengths_that_are_no_finite_number_are_bad_input(tmp_path, capsys, length, argv):
+    # Python's json reads Infinity and NaN, and true would count as 1
+    gp = tmp_path / "graph.json"
+    gp.write_text(LOOPS_TEXT % length)
+    bcs = {"adjacency": {"type": "adjacency"}, "permutation": {"map": {"a": "b", "b": "a"}}}
+    argv = [argv[0], str(gp)] + [
+        write_json(tmp_path, "bc.json", {"type": a, **bcs[a]}) if a in bcs else a for a in argv[1:]
+    ]
+    rc, out, err = run(capsys, argv)
+    assert rc == EXIT_BAD_INPUT and out == "" and err.startswith("input error: ")
+    assert "'b'" in err
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "true"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["spectrum", "--rect", "-1", "1", "-1", "1"],
+        ["selfadjoint"],
+        ["index", "--verify"],
+    ],
+)
+def test_matrix_entries_that_are_no_finite_number_are_bad_input(tmp_path, capsys, entry, argv):
+    gp = write_graph(tmp_path, rose(2))
+    bc = tmp_path / "bc.json"
+    bc.write_text('{"type": "endomorphism", "matrix": [[[0, 0], [1, 0]], [[1, 0], [%s, 0]]]}' % entry)
+    rc, out, err = run(capsys, [argv[0], gp, "--bc", str(bc), *argv[1:]])
+    assert rc == EXIT_BAD_INPUT and out == "" and err.startswith("input error: ")
 
 
 def test_invalid_graph_refused_by_analysis_commands(tmp_path, capsys):

@@ -34,7 +34,6 @@ from diracgraph.jsonio import (
     parse_boundary,
     parse_decomposition,
     parse_graph,
-    parse_multipoly,
     profile_to_json,
     report_to_csv,
     report_to_json,
@@ -142,6 +141,10 @@ def test_endomorphism_round_trip():
         ([1, 0, 0], "expected [re, im] pair, got [1, 0, 0]"),
         (None, "expected [re, im] pair, got None"),
         ([[1], [0]], "expected [re, im] pair, got [[1], [0]]"),
+        # JSON's true, Infinity and NaN are no numbers here
+        ([True, 0], "expected [re, im] pair, got [True, 0]"),
+        ([math.inf, 0], "expected [re, im] pair, got [inf, 0]"),
+        ([0, math.nan], "expected [re, im] pair, got [0, nan]"),
     ],
 )
 def test_endomorphism_entries_that_are_no_number_pair_are_named(entry, message):
@@ -153,9 +156,9 @@ def test_endomorphism_entries_that_are_no_number_pair_are_named(entry, message):
     assert str(err.value) == message
 
 
-def test_endomorphism_reads_integers_booleans_and_signed_zeros():
+def test_endomorphism_reads_integers_and_signed_zeros():
     g = rose(2)
-    doc = {"type": "endomorphism", "matrix": [[[1, 0], [True, -0.0]], [[0.5, 2], [False, 1e-320]]]}
+    doc = {"type": "endomorphism", "matrix": [[[1, 0], [1, -0.0]], [[0.5, 2], [0, 1e-320]]]}
     got = parse_boundary(doc, g).endomorphism.matrix
     assert got.tolist() == [[1, 1], [0.5 + 2j, 1e-320j]]
     assert math.copysign(1.0, got[0, 1].imag) == -1.0
@@ -212,8 +215,9 @@ def test_multipoly_round_trip():
     g = looped_dumbbell()
     p = charpoly_via_collections(g)
     doc = multipoly_to_json(p)
-    q = parse_multipoly(doc, [e.id for e in g.edges])
-    assert q.term_edge_sets() == p.term_edge_sets()
+    assert {frozenset(t["edges"]): complex(*t["coeff"]) for t in doc["terms"]} == (
+        p.term_edge_sets()
+    )
 
 
 def test_multipoly_terms_sorted_for_stable_output():
@@ -222,15 +226,6 @@ def test_multipoly_terms_sorted_for_stable_output():
     )
     doc = multipoly_to_json(p)
     assert [t["edges"] for t in doc["terms"]] == [[], ["b"], ["a", "b"]]
-
-
-def test_multipoly_parse_errors():
-    with pytest.raises(InputFormatError):
-        parse_multipoly({}, ["a"])
-    with pytest.raises(InputFormatError):
-        parse_multipoly({"terms": [{"edges": ["z"], "coeff": [1, 0]}]}, ["a"])
-    with pytest.raises(InputFormatError):
-        parse_multipoly({"terms": [{"edges": ["a"], "coeff": "one"}]}, ["a"])
 
 
 def test_profile_to_json():

@@ -24,7 +24,6 @@ from diracgraph import (
     graph_from_edges,
     reduce_vertex,
     rose,
-    split_reducible,
     spectrum_complex,
     spectrum_exact_commensurable,
     spectrum_numeric,
@@ -40,7 +39,12 @@ from diracgraph.randgen import (
     random_graph,
     random_unitary_g_endomorphism,
 )
-from oracles import distinct_roots, real_eigenvalues_by_bisection, weighted_cycle_lattice
+from oracles import (
+    distinct_roots,
+    real_eigenvalues_by_bisection,
+    split_reducible,
+    weighted_cycle_lattice,
+)
 
 CASES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 

@@ -10,7 +10,6 @@ from diracgraph import (
     GEndomorphism,
     Window,
     directed_cycle,
-    eigenfunction_residual,
     graph_from_edges,
     graph_of,
     multiplicity,
@@ -28,7 +27,7 @@ from diracgraph.randgen import (
     random_unitary_g_endomorphism,
 )
 from diracgraph.spectrum import _subdivided_map, as_window
-from oracles import general_eigencondition
+from oracles import eigenfunction_residual, general_eigencondition
 
 
 def shift_map(g, weights):
@@ -166,13 +165,6 @@ def test_exact_mixed_lengths_against_closed_form():
     rep = spectrum_exact_commensurable(a, [1, 2], 0.5, (-0.1, 9.0))
     want = [2 * math.pi * k / 1.5 for k in range(3)]
     assert np.allclose(rep.values(), want, atol=1e-9)
-
-
-def test_exact_dict_multipliers():
-    g = graph_from_edges([("e1", "u", "v", 0.5), ("e2", "v", "u", 1.0)])
-    a = shift_map(g, [1.0, 1.0])
-    rep = spectrum_exact_commensurable(a, {"e1": 1, "e2": 2}, 0.5, (-0.1, 1.0))
-    assert np.allclose(rep.values(), [0.0], atol=1e-9)
 
 
 def test_exact_zero_root_discarded():
