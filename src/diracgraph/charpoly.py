@@ -297,9 +297,11 @@ def detect_commensurable(lengths) -> tuple[list[int], float] | None:
     common = lcm(*(d for _, d in fracs))
     delta = float(lengths[0]) / common
     mult = [n * (common // d) for n, d in fracs]
-    for m, x in zip(mult, lengths.tolist()):
-        if abs(m * delta - x) > 1e-9 * x:
+    try:
+        if any(abs(m * delta - x) > 1e-9 * x for m, x in zip(mult, lengths.tolist())):
             return None
+    except OverflowError:  # a multiplier past the float range matches no length
+        return None
     return mult, delta
 
 

@@ -270,6 +270,8 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_trails(args) -> int:
+    if args.format == "csv" and not args.spectrum:
+        raise InputFormatError("--format csv lists a spectrum; it needs --spectrum")
     g = _load_valid_graph(args.graph)
     if args.enumerate:
         perms = enumerate_g_permutations(g)
@@ -295,7 +297,10 @@ def cmd_trails(args) -> int:
         )
     data = load_json(args.from_permutation, "permutation")
     if isinstance(data, dict) and "trails" in data:
-        perm = decomposition_to_permutation(parse_decomposition(data, g))
+        try:
+            perm = decomposition_to_permutation(parse_decomposition(data, g))
+        except ValueError as exc:  # a missing, repeated or disconnected edge
+            raise InputFormatError(str(exc)) from exc
     else:
         if isinstance(data, dict) and "map" in data and "type" not in data:
             data = {"type": "permutation", **data}
@@ -394,9 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral analysis of first order operators on metric digraphs.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json", help="output format (default json)")
+    # csv lists eigenvalues: only the commands reporting a spectrum take it
+    common, listing = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for p, formats in ((common, ("json", "pretty")), (listing, ("json", "csv", "pretty"))):
+        p.add_argument("--format", choices=formats, default="json",
+                       help="output format (default json)")
     # only the commands that run an exponential enumeration take --cap
     cap = dict(type=int, default=DEFAULT_EDGE_CAP,
                help="edge count cap for exponential enumerations "
@@ -420,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser(
-        "spectrum", parents=[common], help="eigenvalues of a boundary condition",
+        "spectrum", parents=[listing], help="eigenvalues of a boundary condition",
         description="Eigenvalues of a boundary condition. A --rect goes to the "
         "contour solver. Otherwise a unitary map goes to the eigenphase "
         "locator, which locates one period of a spectrum with commensurable "
@@ -452,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", **cap)
     p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("trails", parents=[common],
+    p = sub.add_parser("trails", parents=[listing],
                        help="closed trail decompositions and their spectra")
     p.add_argument("graph")
     p.add_argument("--enumerate", action="store_true",

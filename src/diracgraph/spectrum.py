@@ -29,14 +29,16 @@ The exact and contour routes group their root estimates by one rule first
 end in one shared step, :func:`_certified_entries`, which takes the edge
 map's matrix, never reads the graph, and is the only place where a
 candidate is rank-tested by the kernel dimension of ``T(lambda)`` (SVD, in
-one stacked call), polished, dropped, or collapsed into another within
-``DEDUPE_RADIUS``.  On the real axis a unitary map is block diagonal,
-with exact zeros between its blocks, so ``T(lambda)`` is too and its kernel
-is the direct sum of the block kernels: each block's candidates are
-certified on its own ``T_b``, and entries of different blocks within
-``DEDUPE_RADIUS`` are merged into one, their multiplicities added and their
-eigenfunctions joined (:func:`_certified_blocks`).  The locator's blocks
-end there, and so do the trails of an edge permutation, which
+one stacked call), polished, dropped or merged.  It takes the candidates
+by blocks of edges: the exact and contour routes give one block of every
+edge, the eigenphase locator the blocks of a unitary map, which is block
+diagonal with exact zeros between them, so ``T(lambda)`` is too and its
+kernel is the direct sum of the block kernels.  Each block is certified
+on its own ``T_b``.  A certified value within ``DEDUPE_RADIUS`` of a kept
+one meets one rule: where their kernels are independent it is a second
+eigenvalue and the multiplicities add, otherwise it is the same one and is
+dropped.  Entries of different blocks are always the independent case, and
+so are the trails of an edge permutation, which
 ``trails.permutation_spectrum`` hands to the locator.  Multiplicities never
 come from root clustering, and the kernel vectors double as eigenfunction amplitudes.
 """
@@ -44,7 +46,7 @@ come from root clustering, and the kernel vectors double as eigenfunction amplit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,10 +169,6 @@ class SpectrumReport:
 
     def values(self) -> list[complex]:
         return [e.value for e in self.eigenvalues]
-
-
-def _sorted_entries(entries) -> tuple[EigenvalueEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: (e.value.real, e.value.imag)))
 
 
 def _t_matrices(matrix, lengths, lams):
@@ -362,7 +360,7 @@ def _certified_entries(
     matrix,
     lengths,
     window: Window,
-    candidates,
+    blocks,
     residual_tol: float,
     warnings: list[str],
     *,
@@ -370,120 +368,103 @@ def _certified_entries(
     real_axis: bool = False,
 ) -> tuple[EigenvalueEntry, ...]:
     """The step every solver ends in, and the only place where a candidate
-    is rank-tested, polished or dropped.
+    is rank-tested, polished, dropped or merged.
 
-    ``candidates`` holds ``(point, hint)`` pairs.  Candidates and certified
-    values both have to lie in the window widened by ``pad +
-    DEDUPE_RADIUS``.  Every candidate gets the strict rank test in one
-    stacked call.  A polish is guarded Newton on ``det T`` at an assumed
-    order (Guettel & Tisseur, Acta Numerica 26 (2017), section 4), with
-    ``real_axis`` projected onto the real axis or discarded off it.  A
-    candidate without kernel is polished at the orders ``max(2, hint) ..
-    n`` until one certifies, else warned and dropped: the eigenphase locator
-    gives a multiple eigenvalue as the middle of a cell ``CELL_FLOOR (1 +
-    |x|)`` wide, too coarse far out for the rank test.  Otherwise one of
-    kernel dimension ``m > 1`` is polished at ``m`` and replaced if the
-    polish certifies ``m`` too.  A residual above ``residual_tol`` plus the
-    rounding ``PERIOD_RTOL |lambda| max_e l_e`` of the value itself drops
-    the entry with a warning, and a hint above the kernel dimension is
-    warned as a defective zero.  Certified values within ``DEDUPE_RADIUS``
-    of a kept one are collapsed into it in a single sorted pass: scattered
-    roots of one zero can all certify to the same eigenvalue.  A collapsed
-    value more than ``1e-12 (1 + |lambda|)`` from the kept one is warned: it
-    may be a second eigenvalue, hidden.
+    ``blocks`` holds ``(idx, candidates)`` pairs: the edge indices of a
+    block that exact zeros of ``matrix`` uncouple from every other edge, or
+    of all edges, and its ``(point, hint)`` candidates.  ``T(lambda)`` is
+    then block diagonal and its kernel is the direct sum of the block
+    kernels (Horn & Johnson, *Matrix Analysis*, section 0.9), so each
+    block's candidates are certified on its own ``T_b`` and their kernels
+    embedded in the full edge space.  Candidates and certified values both
+    have to lie in the window widened by ``pad + DEDUPE_RADIUS``.  Every
+    candidate gets the strict rank test in one stacked call.  A polish is
+    guarded Newton on ``det T`` at an assumed order (Guettel & Tisseur, Acta
+    Numerica 26 (2017), section 4), with ``real_axis`` projected onto the
+    real axis or discarded off it.  A candidate without kernel is polished
+    at the orders ``max(2, hint) .. n`` until one certifies, else warned and
+    dropped: the eigenphase locator gives a multiple eigenvalue as the
+    middle of a cell ``CELL_FLOOR (1 + |x|)`` wide, too coarse far out for
+    the rank test.  Otherwise one of kernel dimension ``m > 1`` is polished
+    at ``m`` and replaced if the polish certifies ``m`` too.  A residual
+    above ``residual_tol`` plus the rounding ``PERIOD_RTOL |lambda| max_e
+    l_e`` of the value itself drops the entry with a warning, and a hint
+    above the kernel dimension is warned as a defective zero.
+
+    One sorted pass then meets each certified value within
+    ``DEDUPE_RADIUS`` of the kept entry with one rule: where the joined
+    kernel bases ``[K_kept K_new]`` have the full rank ``m_kept + m_new``
+    under ``RANK_RTOL`` it is a second eigenvalue, so the multiplicities
+    add, the eigenfunctions join and the larger residual is kept; otherwise
+    it is the same eigenvalue, certified twice (scattered roots of one zero
+    can all certify to it), and dropped.  Entries of different blocks are
+    the independent case.
     """
 
-    def polish(z: complex, order: int) -> complex | None:
-        z = _polish(matrix, lengths, z, order)
+    def polish(block, block_lengths, z: complex, order: int) -> complex | None:
+        z = _polish(block, block_lengths, z, order)
         if real_axis:
             z = complex(z.real) if abs(z.imag) <= 1e-6 else None
         return z
 
     slack = pad + DEDUPE_RADIUS
-    tried = [(complex(lam), hint) for lam, hint in candidates if window.contains(lam, slack)]
-    points = np.array([lam for lam, _ in tried], dtype=complex)
-    strict = _multiplicities(matrix, lengths, points)
     rounding = PERIOD_RTOL * float(np.max(lengths))
-    entries = []
-    for (lam, hint), (m, kernel, residual) in zip(tried, strict):
-        if m == 0:
-            for order in range(max(2, hint), lengths.size + 1):
-                z = polish(lam, order)
-                if z is not None and (found := _multiplicities(matrix, lengths, [z])[0])[0]:
-                    lam, (m, kernel, residual) = z, found
-                    break
-            else:
-                warnings.append(f"candidate {lam:.6g} rejected by rank check")
-                continue
-        elif m > 1:
-            z = polish(lam, m)
-            if z is not None and (found := _multiplicities(matrix, lengths, [z])[0])[0] == m:
-                lam, (m, kernel, residual) = z, found
-        if not window.contains(lam, slack):
-            continue
-        if residual > residual_tol + rounding * abs(lam):
-            warnings.append(f"candidate {lam:.6g} dropped: residual {residual:.2e}")
-            continue
-        if hint > m:
-            warnings.append(
-                f"defective zero at {lam:.6g}: multiplicity hint {hint}, kernel dimension {m}"
-            )
-        # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
-        grow = np.exp(1j * lam * lengths)
-        funcs = tuple(Eigenfunction(lam, grow * kernel[:, k]) for k in range(m))
-        entries.append(EigenvalueEntry(lam, m, residual, funcs))
-    unique: list[EigenvalueEntry] = []
-    for entry in _sorted_entries(entries):
-        gap = abs(entry.value - unique[-1].value) if unique else math.inf
-        if gap > DEDUPE_RADIUS:
-            unique.append(entry)
-        elif gap > 1e-12 * (1 + abs(entry.value)):
-            warnings.append(f"eigenvalue {unique[-1].value:.6g} hides one {gap:.2e} away")
-    return tuple(unique)
-
-
-def _certified_blocks(
-    matrix, lengths, window: Window, blocks, residual_tol: float, warnings: list[str]
-) -> tuple[EigenvalueEntry, ...]:
-    """The shared step of a block diagonal map on a real window.
-
-    ``blocks`` holds ``(idx, candidates)`` pairs: the edge indices of a block
-    that exact zeros of ``matrix`` uncouple from every other edge, and the
-    candidates located on it.  ``T(lambda)`` is then block diagonal and its
-    kernel is the direct sum of the block kernels (Horn & Johnson, *Matrix
-    Analysis*, section 0.9), so each block is certified on its own ``T_b``
-    by :func:`_certified_entries`, on the real axis, and its kernel vectors
-    are embedded in the full edge space.  Entries of different blocks within
-    ``DEDUPE_RADIUS`` of a kept one are one eigenvalue: the multiplicities
-    add up, the eigenfunctions are joined and the larger residual is kept.
-    """
-    entries = []
+    found = []  # (entry, kernel basis in the full edge space)
     for idx, candidates in blocks:
-        found = _certified_entries(
-            matrix[np.ix_(idx, idx)], lengths[idx], window, candidates, residual_tol,
-            warnings, real_axis=True,
-        )
-        if np.array_equal(idx, np.arange(lengths.size)):
-            entries += found  # the whole edge space, in edge order
+        m_b, l_b = matrix[np.ix_(idx, idx)], lengths[idx]
+        # a block of every edge, in edge order, needs no embedding
+        embed = None if len(idx) == lengths.size else np.eye(lengths.size)[:, idx]
+        tried = [(complex(lam), hint) for lam, hint in candidates if window.contains(lam, slack)]
+        points = np.array([lam for lam, _ in tried], dtype=complex)
+        strict = _multiplicities(m_b, l_b, points)
+        for (lam, hint), (m, kernel, residual) in zip(tried, strict):
+            if m == 0:
+                for order in range(max(2, hint), l_b.size + 1):
+                    z = polish(m_b, l_b, lam, order)
+                    if z is not None and (cert := _multiplicities(m_b, l_b, [z])[0])[0]:
+                        lam, (m, kernel, residual) = z, cert
+                        break
+                else:
+                    warnings.append(f"candidate {lam:.6g} rejected by rank check")
+                    continue
+            elif m > 1:
+                z = polish(m_b, l_b, lam, m)
+                if z is not None and (cert := _multiplicities(m_b, l_b, [z])[0])[0] == m:
+                    lam, (m, kernel, residual) = z, cert
+            if not window.contains(lam, slack):
+                continue
+            if residual > residual_tol + rounding * abs(lam):
+                warnings.append(f"candidate {lam:.6g} dropped: residual {residual:.2e}")
+                continue
+            if hint > m:
+                warnings.append(
+                    f"defective zero at {lam:.6g}: multiplicity hint {hint}, kernel dimension {m}"
+                )
+            # Kernel vectors hold end values; start amplitudes differ by exp(i lam l).
+            grow = np.exp(1j * lam * l_b)
+            amplitudes = [grow * kernel[:, k] for k in range(m)]
+            if embed is not None:
+                kernel, amplitudes = embed @ kernel, [embed @ w for w in amplitudes]
+            funcs = tuple(Eigenfunction(lam, w) for w in amplitudes)
+            found.append((EigenvalueEntry(lam, m, residual, funcs), kernel))
+    unique: list[EigenvalueEntry] = []
+    for entry, kernel in sorted(found, key=lambda f: (f[0].value.real, f[0].value.imag)):
+        if not unique or abs(entry.value - unique[-1].value) > DEDUPE_RADIUS:
+            unique.append(entry)
+            kept = kernel
             continue
-        embed = np.eye(lengths.size)[:, idx]
-        for entry in found:
-            funcs = tuple(
-                Eigenfunction(f.eigenvalue, embed @ f.amplitudes) for f in entry.eigenfunctions
+        joined = np.hstack([kept, kernel])
+        sv = np.linalg.svd(joined, compute_uv=False)
+        if np.count_nonzero(sv > RANK_RTOL * sv[0]) == joined.shape[1]:
+            last = unique[-1]
+            unique[-1] = EigenvalueEntry(
+                last.value,
+                last.multiplicity + entry.multiplicity,
+                max(last.residual, entry.residual),
+                last.eigenfunctions + entry.eigenfunctions,
             )
-            entries.append(replace(entry, eigenfunctions=funcs))
-    merged: list[EigenvalueEntry] = []
-    for entry in _sorted_entries(entries):
-        if merged and abs(entry.value - merged[-1].value) <= DEDUPE_RADIUS:
-            kept = merged.pop()
-            entry = EigenvalueEntry(
-                kept.value,
-                kept.multiplicity + entry.multiplicity,
-                max(kept.residual, entry.residual),
-                kept.eigenfunctions + entry.eigenfunctions,
-            )
-        merged.append(entry)
-    return tuple(merged)
+            kept = joined
+    return tuple(unique)
 
 
 def _check_count(name: str, count: int, entries, warnings: list[str]) -> None:
@@ -583,7 +564,8 @@ def spectrum_exact_commensurable(
         k_lo = math.ceil((window.re_min - base.real) / period - 1e-12)
         k_hi = math.floor((window.re_max - base.real) / period + 1e-12)
         candidates += [(base + k * period, size) for k in range(k_lo, k_hi + 1)]
-    entries = _certified_entries(a.matrix, lengths, window, candidates, residual_tol, warnings)
+    everything = [(np.arange(lengths.size), candidates)]
+    entries = _certified_entries(a.matrix, lengths, window, everything, residual_tol, warnings)
     winding = None
     if window.is_real_interval and is_unitary(a):
         lo, hi = window.re_min - DEDUPE_RADIUS, window.re_max + DEDUPE_RADIUS
@@ -819,8 +801,9 @@ def spectrum_numeric(
     + 1) P)`` located, the one next to the origin, and its candidates
     translated by whole periods across the window.  Each block's candidates
     are certified on the same block, every listed one by its own rank test
-    (:func:`_certified_blocks`), and entries of different blocks within
-    ``DEDUPE_RADIUS`` are merged, their multiplicities added.  The cost
+    (:func:`_certified_entries`), and entries of different blocks within
+    ``DEDUPE_RADIUS`` are merged, their kernels being independent: their
+    multiplicities add.  The cost
     grows as ``sum_b expected_b n_b**3`` over at most one period, at most
     ``expected n**3``, with no polynomial expansion and no edge cap;
     :func:`_real_window` bounds the eigenvalues located and listed.  The
@@ -871,7 +854,9 @@ def spectrum_numeric(
         winding += _window_count(m, l, lo, hi) if periodic or count is None else int(count.sum())
         blocks.append((idx, located))
     warnings: list[str] = []
-    entries = _certified_blocks(a.matrix, lengths, window, blocks, residual_tol, warnings)
+    entries = _certified_entries(
+        a.matrix, lengths, window, blocks, residual_tol, warnings, real_axis=True
+    )
     _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("eigenphase", window, entries, tuple(warnings), winding=winding)
 
@@ -1038,8 +1023,9 @@ def spectrum_complex(
     # A group's centroid restores the accuracy its scattered estimates lack.
     groups = _tree_groups(estimates, _kernel_link(a.matrix, lengths))
     candidates = [(z if len(g) > 1 else _polish(a.matrix, lengths, z), len(g)) for z, g in groups]
+    everything = [(np.arange(lengths.size), candidates)]
     entries = _certified_entries(
-        a.matrix, lengths, window, candidates, residual_tol, warnings, pad=pad
+        a.matrix, lengths, window, everything, residual_tol, warnings, pad=pad
     )
     _check_count("winding number", winding, entries, warnings)
     return SpectrumReport("contour", window, entries, tuple(warnings), winding=winding)

@@ -186,7 +186,8 @@ def permutation_spectrum(p: GPermutation, lengths=None, window=(-10.0, 10.0)) ->
     L_j`` of a trail of length ``L_j`` in closed form and searches for none.
     Each is certified by the rank of its trail's own ``T_b(lambda)``, and
     trails whose eigenvalues meet within ``DEDUPE_RADIUS`` add up their
-    multiplicities: zero has the trail count.  Eigenfunctions are supported
+    multiplicities, their kernels lying on different trails: zero has the
+    trail count.  Eigenfunctions are supported
     on one trail each.  The report carries the locator's ``winding``, read
     off the phase sums at the window ends, and windows are refused by the
     locator's rule.  The solver is reported as ``"closed-form"``.

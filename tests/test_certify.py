@@ -99,9 +99,9 @@ def test_a_candidate_without_kernel_is_warned_and_dropped():
     # one loop mapped to itself: the eigenvalues are 2 pi k, and one edge
     # leaves no higher order to polish a rejected candidate at
     warnings = []
+    blocks = [(np.arange(1), [(2 * math.pi, 1), (1.0, 1)])]
     entries = _certified_entries(
-        np.eye(1), np.ones(1), Window.real(-1.0, 7.0), [(2 * math.pi, 1), (1.0, 1)],
-        RESIDUAL_TOL, warnings,
+        np.eye(1), np.ones(1), Window.real(-1.0, 7.0), blocks, RESIDUAL_TOL, warnings
     )
     assert [(e.value, e.multiplicity) for e in entries] == [(pytest.approx(2 * math.pi), 1)]
     assert warnings == ["candidate 1+0j rejected by rank check"]
@@ -112,8 +112,23 @@ def test_a_rejected_candidate_is_polished_at_its_hint():
     # and 1e-6 away the rank test of a double zero finds no kernel
     warnings = []
     entries = _certified_entries(
-        np.eye(2), np.ones(2), Window.real(-1.0, 1.0), [(1e-6, 2)], RESIDUAL_TOL, warnings,
-        real_axis=True,
+        np.eye(2), np.ones(2), Window.real(-1.0, 1.0), [(np.arange(2), [(1e-6, 2)])],
+        RESIDUAL_TOL, warnings, real_axis=True,
     )
     assert [(e.value, e.multiplicity) for e in entries] == [(pytest.approx(0.0, abs=1e-12), 2)]
     assert warnings == []
+
+
+def test_two_certificates_of_one_double_eigenvalue_are_listed_once():
+    # two loops of length 1 mapped to themselves: 2 pi is a double
+    # eigenvalue, and both candidates certify to it with the same kernel.
+    # The joined 2 x 4 basis has rank 2, not 4, so the second is dropped;
+    # its smallest singular value alone would not tell
+    warnings = []
+    candidates = [(2 * math.pi, 1), (2 * math.pi + 1e-9, 1)]
+    entries = _certified_entries(
+        np.eye(2), np.ones(2), Window.real(0.0, 7.0), [(np.arange(2), candidates)],
+        RESIDUAL_TOL, warnings,
+    )
+    assert [(e.value, e.multiplicity) for e in entries] == [(pytest.approx(2 * math.pi), 2)]
+    assert len(entries[0].eigenfunctions) == 2 and warnings == []

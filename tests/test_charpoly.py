@@ -593,6 +593,12 @@ def test_commensurable_invalid_inputs():
     assert detect_commensurable([0.0]) is None
 
 
+def test_commensurable_multipliers_past_the_float_range():
+    # the ratios fit in a float, but the common denominator 997 * 991 makes
+    # the multiplier of 1e303 too large for one: no base length exists
+    assert detect_commensurable([1.0, 1e303, 1 / 997, 1 / 991]) is None
+
+
 def test_commensurable_round_trip():
     rng = np.random.default_rng(73)
     for _ in range(30):

@@ -524,6 +524,26 @@ def test_charpoly_univariate_refused_for_incommensurable(tmp_path, capsys):
     assert "commensurable" in err
 
 
+FAR_LOOPS = graph_from_edges(
+    [(f"e{i}", "u", "u", l) for i, l in enumerate((1.0, 1e303, 1 / 997, 1 / 991))]
+)
+
+
+@pytest.mark.parametrize("command", ["charpoly", "spectrum"])
+def test_multipliers_past_the_float_range_are_refused(tmp_path, capsys, command):
+    # the multiplier of 1e303 over the base length 1 / (997 * 991) is too
+    # large for a float: the lengths are not commensurable, and the non
+    # unitary map has no route
+    gp = write_graph(tmp_path, FAR_LOOPS)
+    bc = write_json(
+        tmp_path, "bc.json",
+        endomorphism_to_json(GEndomorphism(FAR_LOOPS, np.diag([2.0, 1.0, 1.0, 1.0]))),
+    )
+    rc, out, err = run(capsys, [command, gp, "--bc", bc])
+    assert rc == EXIT_REFUSAL and out == ""
+    assert err.startswith("refused: ") and "commensurable" in err
+
+
 def test_charpoly_needs_a_map(tmp_path, capsys):
     gp = write_graph(tmp_path, rose(1))
     rc, _, err = run(capsys, ["charpoly", gp])
@@ -668,6 +688,47 @@ def test_trails_from_permutation_map_file(tmp_path, capsys):
     rc, payload, _ = run_json(capsys, ["trails", gp, "--from-permutation", perm])
     assert rc == EXIT_OK
     assert payload == {"trails": [["e1", "e2"]]}
+
+
+@pytest.mark.parametrize(
+    "graph, trails, message",
+    [
+        (rose(2), [["e1"]], "edges not covered by any trail: ['e2']"),
+        (directed_cycle(3), [["e1", "e3", "e2"]], "trail breaks between 'e1' and 'e3'"),
+        (rose(2), [["e1"], ["e1", "e2"]], "edge 'e1' appears twice"),
+    ],
+    ids=["missing", "broken", "twice"],
+)
+def test_trails_malformed_decomposition_is_bad_input(tmp_path, capsys, graph, trails, message):
+    gp = write_graph(tmp_path, graph)
+    perm = write_json(tmp_path, "perm.json", {"trails": trails})
+    for extra in ([], ["--spectrum"]):
+        rc, out, err = run(capsys, ["trails", gp, "--from-permutation", perm] + extra)
+        assert rc == EXIT_BAD_INPUT and out == ""
+        assert err.startswith("input error: ") and message in err
+
+
+def test_csv_format_is_refused_where_no_spectrum_is_listed(tmp_path, capsys):
+    gp = write_graph(tmp_path, rose(1))
+    bc = write_json(tmp_path, "bc.json", {"type": "adjacency"})
+    perm = write_json(tmp_path, "perm.json", {"map": {"e1": "e1"}})
+    commands = [
+        ["validate", gp], ["index", gp, "--bc", bc], ["charpoly", gp, "--bc", bc],
+        ["topology", gp], ["selfadjoint", gp, "--bc", bc], ["trails", gp, "--enumerate"],
+        ["trails", gp, "--from-permutation", perm],
+    ]
+    for argv in commands:
+        # argparse refuses an invalid choice by exiting with code 2
+        try:
+            rc = main(argv + ["--format", "csv"])
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT and captured.out == "", argv
+        assert "csv" in captured.err
+    rc, out, _ = run(capsys, ["trails", gp, "--from-permutation", perm, "--spectrum",
+                              "--format", "csv"])
+    assert rc == EXIT_OK and out.startswith("re,im,mult\n")
 
 
 def test_trails_needs_a_mode(tmp_path, capsys):

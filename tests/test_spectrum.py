@@ -345,13 +345,27 @@ def test_exact_lists_both_roots_of_a_close_pair(gap):
     assert [v.real for v in rep.values()] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
-def test_exact_warns_where_the_dedupe_hides_an_eigenvalue():
+def test_exact_adds_close_eigenvalues_whose_kernels_differ():
     # the roots 2 and 2 + 1e-7 of B give eigenvalues 5e-8 apart, within
-    # DEDUPE_RADIUS: one entry is listed, and the value it hides is warned
+    # DEDUPE_RADIUS, with the kernels e1 and e2: they are two eigenvalues,
+    # listed as one entry of multiplicity 2, on a rectangle and on a real
+    # window alike
     a = GEndomorphism(rose(2), np.diag([2.0, 2.0 + 1e-7]))
-    rep = spectrum_exact_commensurable(a, [1, 1], 1.0, Window.rect(-1, 1, -2, 0))
-    assert [e.multiplicity for e in rep.eigenvalues] == [1]
-    assert rep.warnings == ("eigenvalue 0-0.693147j hides one 5.00e-08 away",)
+    for window in (Window.rect(-1, 1, -2, 0), Window.real(-1, 1)):
+        rep = spectrum_exact_commensurable(a, [1, 1], 1.0, window)
+        assert [e.multiplicity for e in rep.eigenvalues] == [2] and rep.warnings == ()
+        assert rep.values()[0] == pytest.approx(-1j * math.log(2.0), abs=1e-7)
+        assert len(rep.eigenvalues[0].eigenfunctions) == 2
+
+
+def test_contour_adds_close_eigenvalues_whose_kernels_differ():
+    # the same pair on the contour route: its count and the listed
+    # multiplicities agree
+    a = GEndomorphism(rose(2), np.diag([2.0, 2.0 + 1e-7]))
+    rep = spectrum_complex(a, rect=(-1, 1, -2, 0))
+    assert rep.winding == 2 and rep.warnings == ()
+    assert [e.multiplicity for e in rep.eigenvalues] == [2]
+    assert rep.values()[0] == pytest.approx(-1j * math.log(2.0), abs=1e-7)
 
 
 @pytest.mark.parametrize("mult", [(30, 31), (31, 30), (100, 101)])
